@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -103,47 +104,41 @@ void BM_VecMat(benchmark::State& state) {
 }
 BENCHMARK(BM_VecMat)->Arg(256)->Arg(1000);
 
+// `count` distinct indices below n, ascending.
+std::vector<uint32_t> DistinctSorted(size_t n, size_t count, Rng& rng) {
+  std::vector<uint32_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
+  for (size_t i = 0; i < count; ++i) {
+    std::swap(all[i], all[i + rng.NextBounded(n - i)]);
+  }
+  all.resize(count);
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
 void BM_VecMatCols(benchmark::State& state) {
-  // The ALSH-approx substitute: only `active` of n columns computed.
+  // The ALSH-approx forward: `active` of n columns, summed over the
+  // `nonzero` rows where the input is nonzero.
   const auto n = static_cast<size_t>(state.range(0));
   const auto active = static_cast<size_t>(state.range(1));
+  const auto nonzero = static_cast<size_t>(state.range(2));
   Rng rng(42);
   Matrix w = Matrix::RandomGaussian(n, n, rng);
-  std::vector<float> x(n), bias(n), y(n);
-  for (auto& v : x) v = rng.NextGaussian();
-  std::vector<uint32_t> cols;
-  for (size_t j = 0; j < active; ++j) {
-    cols.push_back(static_cast<uint32_t>(rng.NextBounded(n)));
-  }
+  std::vector<float> x(n, 0.0f), bias(n), y(n);
+  const std::vector<uint32_t> rows = DistinctSorted(n, nonzero, rng);
+  for (uint32_t i : rows) x[i] = rng.NextGaussian();
+  const std::vector<uint32_t> cols = DistinctSorted(n, active, rng);
   for (auto _ : state) {
-    VecMatCols(x, w, bias, cols, y);
+    VecMatCols(x, rows, w, bias, cols, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * active * n);
+  state.SetItemsProcessed(state.iterations() * active * nonzero);
 }
 BENCHMARK(BM_VecMatCols)
-    ->Args({1000, 50})    // the paper's ~5% active set
-    ->Args({1000, 100})
-    ->Args({1000, 1000});  // degenerate: all columns
-
-void BM_SparseOuterUpdate(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto active = static_cast<size_t>(state.range(1));
-  Rng rng(42);
-  Matrix w = Matrix::RandomGaussian(n, n, rng);
-  std::vector<float> a_prev(n), delta(n), bias(n);
-  for (auto& v : a_prev) v = rng.NextGaussian();
-  for (auto& v : delta) v = rng.NextGaussian();
-  std::vector<uint32_t> cols;
-  for (size_t j = 0; j < active; ++j) {
-    cols.push_back(static_cast<uint32_t>(rng.NextBounded(n)));
-  }
-  for (auto _ : state) {
-    SparseOuterUpdate(a_prev, delta, cols, 1e-4f, &w, bias);
-    benchmark::DoNotOptimize(w.data());
-  }
-}
-BENCHMARK(BM_SparseOuterUpdate)->Args({1000, 50})->Args({1000, 1000});
+    ->Args({1000, 160, 160})    // ~16% active over a ~16% nonzero input
+    ->Args({1000, 160, 1000})   // dense input (layer 0 on dense features)
+    ->Args({1000, 1000, 1000});  // degenerate: every column and row
 
 // ---------------------------------------------------------------------------
 // --sweep mode: packed vs seed-scalar GFLOP/s across shapes x thread counts.

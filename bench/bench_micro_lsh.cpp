@@ -53,9 +53,11 @@ void BM_AlshIndexBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * items);
 }
-BENCHMARK(BM_AlshIndexBuild)->Args({256, 256})->Args({1000, 1000});
+// Layer 0 of the 784-1000-1000-1000 benchmark net, then a hidden layer.
+BENCHMARK(BM_AlshIndexBuild)->Args({784, 1000})->Args({1000, 1000});
 
-void BM_AlshQuery(benchmark::State& state) {
+void BM_AlshIndexQuery(benchmark::State& state) {
+  // One probe of all L tables: Q transform, fused hash, bucket union.
   const auto dim = static_cast<size_t>(state.range(0));
   const auto items = static_cast<size_t>(state.range(1));
   const auto tables = static_cast<size_t>(state.range(2));
@@ -69,12 +71,13 @@ void BM_AlshQuery(benchmark::State& state) {
   std::vector<float> q(dim);
   for (auto& v : q) v = rng.NextGaussian();
   std::vector<uint32_t> out;
+  AlshIndex::QueryScratch scratch;
   for (auto _ : state) {
-    index.Query(q, &out);
+    index.Query(q, &out, &scratch);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_AlshQuery)
+BENCHMARK(BM_AlshIndexQuery)
     ->Args({1000, 1000, 5})
     ->Args({1000, 1000, 10})
     ->Args({256, 256, 5});

@@ -52,6 +52,14 @@ Status ReadFloatsExact(std::istream& in, std::vector<float>* out,
   return Status::OK();
 }
 
+// Ascending indices of the nonzero entries of x.
+void NonzeroSupport(std::span<const float> x, std::vector<uint32_t>* out) {
+  out->clear();
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] != 0.0f) out->push_back(static_cast<uint32_t>(i));
+  }
+}
+
 }  // namespace
 
 StatusOr<SparseOptState> SparseOptState::Create(const Layer& layer,
@@ -78,57 +86,96 @@ StatusOr<SparseOptState> SparseOptState::Create(const Layer& layer,
   return state;
 }
 
-void SparseOptState::UpdateColumn(Matrix* w, std::span<float> bias, size_t j,
-                                  std::span<const float> a_prev,
-                                  std::span<const uint32_t> prev_support,
-                                  float delta_j, float lr) {
-  const size_t n = w->cols();
+void SparseOptState::Update(Matrix* w, std::span<float> bias,
+                            std::span<const float> a_prev,
+                            std::span<const uint32_t> prev_support,
+                            std::span<const uint32_t> cols,
+                            std::span<const float> delta, float lr,
+                            std::vector<float>* scratch) {
+  const size_t n = w->cols(), m = cols.size();
+  const uint32_t* cd = cols.data();
+  // Column deltas, gathered so the row pass reads them contiguously, and
+  // (Adam) per-column step sizes.
+  scratch->resize(2 * m);
+  float* d = scratch->data();
+  float* step = d + m;
+  bool all_finite = true;
+  for (size_t t = 0; t < m; ++t) {
+    d[t] = delta[cd[t]];
+    all_finite = all_finite && std::isfinite(d[t]);
+  }
+  // With every delta finite, a zero a_prev[i] zeroes row i's gradient
+  // (delta * 0 == 0), so the row pass may skip it.
+  const auto skip_row = [all_finite](float ai) {
+    return ai == 0.0f && all_finite;
+  };
   float* wd = w->data();
   switch (mode) {
     case Mode::kSgd: {
+      for (size_t t = 0; t < m; ++t) bias[cd[t]] -= lr * d[t];
       for (uint32_t i : prev_support) {
-        const float g = delta_j * a_prev[i];
-        if (g != 0.0f) wd[i * n + j] -= lr * g;
+        const float ai = a_prev[i];
+        if (skip_row(ai)) continue;
+        float* wr = wd + i * n;
+        for (size_t t = 0; t < m; ++t) {
+          const float g = d[t] * ai;
+          if (g != 0.0f) wr[cd[t]] -= lr * g;
+        }
       }
-      bias[j] -= lr * delta_j;
       return;
     }
     case Mode::kAdagrad: {
-      float* vd = v_w.data();
-      for (uint32_t i : prev_support) {
-        const float g = delta_j * a_prev[i];
-        if (g == 0.0f) continue;
-        const size_t idx = i * n + j;
-        vd[idx] += g * g;
-        wd[idx] -= lr * g / (std::sqrt(vd[idx]) + 1e-10f);
+      for (size_t t = 0; t < m; ++t) {
+        const uint32_t j = cd[t];
+        const float gb = d[t];
+        v_b[j] += gb * gb;
+        bias[j] -= lr * gb / (std::sqrt(v_b[j]) + 1e-10f);
       }
-      const float gb = delta_j;
-      v_b[j] += gb * gb;
-      bias[j] -= lr * gb / (std::sqrt(v_b[j]) + 1e-10f);
+      for (uint32_t i : prev_support) {
+        const float ai = a_prev[i];
+        if (skip_row(ai)) continue;
+        float* wr = wd + i * n;
+        float* vr = v_w.data() + i * n;
+        for (size_t t = 0; t < m; ++t) {
+          const float g = d[t] * ai;
+          if (g == 0.0f) continue;
+          const uint32_t j = cd[t];
+          vr[j] += g * g;
+          wr[j] -= lr * g / (std::sqrt(vr[j]) + 1e-10f);
+        }
+      }
       return;
     }
     case Mode::kAdam: {
       // Lazy Adam: untouched steps skip moment decay (standard for sparse
       // embedding-style updates); bias correction uses the per-column count.
       constexpr float kBeta1 = 0.9f, kBeta2 = 0.999f, kEps = 1e-8f;
-      const uint32_t t = ++col_step[j];
-      const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t));
-      const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t));
-      const float step_size = lr * std::sqrt(bc2) / bc1;
-      float* vd = v_w.data();
-      float* md = m_w.data();
-      for (uint32_t i : prev_support) {
-        const float g = delta_j * a_prev[i];
-        if (g == 0.0f) continue;
-        const size_t idx = i * n + j;
-        md[idx] = kBeta1 * md[idx] + (1.0f - kBeta1) * g;
-        vd[idx] = kBeta2 * vd[idx] + (1.0f - kBeta2) * g * g;
-        wd[idx] -= step_size * md[idx] / (std::sqrt(vd[idx]) + kEps);
+      for (size_t t = 0; t < m; ++t) {
+        const uint32_t j = cd[t];
+        const uint32_t s = ++col_step[j];
+        const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(s));
+        const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(s));
+        step[t] = lr * std::sqrt(bc2) / bc1;
+        const float gb = d[t];
+        m_b[j] = kBeta1 * m_b[j] + (1.0f - kBeta1) * gb;
+        v_b[j] = kBeta2 * v_b[j] + (1.0f - kBeta2) * gb * gb;
+        bias[j] -= step[t] * m_b[j] / (std::sqrt(v_b[j]) + kEps);
       }
-      const float gb = delta_j;
-      m_b[j] = kBeta1 * m_b[j] + (1.0f - kBeta1) * gb;
-      v_b[j] = kBeta2 * v_b[j] + (1.0f - kBeta2) * gb * gb;
-      bias[j] -= step_size * m_b[j] / (std::sqrt(v_b[j]) + kEps);
+      for (uint32_t i : prev_support) {
+        const float ai = a_prev[i];
+        if (skip_row(ai)) continue;
+        float* wr = wd + i * n;
+        float* mr = m_w.data() + i * n;
+        float* vr = v_w.data() + i * n;
+        for (size_t t = 0; t < m; ++t) {
+          const float g = d[t] * ai;
+          if (g == 0.0f) continue;
+          const uint32_t j = cd[t];
+          mr[j] = kBeta1 * mr[j] + (1.0f - kBeta1) * g;
+          vr[j] = kBeta2 * vr[j] + (1.0f - kBeta2) * g * g;
+          wr[j] -= step[t] * mr[j] / (std::sqrt(vr[j]) + kEps);
+        }
+      }
       return;
     }
   }
@@ -172,6 +219,8 @@ Status AlshTrainer::Init() {
         SparseOptState::Create(net_.layer(k), options_.optimizer));
     opt_states_.push_back(std::move(state));
   }
+  output_cols_.resize(net_.output_dim());
+  std::iota(output_cols_.begin(), output_cols_.end(), 0u);
   const size_t threads = std::max<size_t>(1, options_.threads);
   scratches_.resize(threads);
   Rng seeder(seed_ ^ 0xA15A1EADull);
@@ -198,7 +247,7 @@ void AlshTrainer::SelectActive(size_t hidden_layer,
     ++scratch->active_fraction_count;
     return;
   }
-  indexes_[hidden_layer].Query(a_prev, &active);
+  indexes_[hidden_layer].Query(a_prev, &active, &scratch->probe);
   if (active.empty() && options_.dense_fallback) {
     // Graceful degradation: an empty probe union means the index has no
     // signal for this query (degenerate tables, all-zero activations, a
@@ -233,6 +282,30 @@ void AlshTrainer::SelectActive(size_t hidden_layer,
   ++scratch->active_fraction_count;
 }
 
+void AlshTrainer::ForwardActive(size_t k, std::span<const float> a_prev,
+                                Scratch* scratch) {
+  const Layer& layer = net_.layer(k);
+  const std::vector<uint32_t>& active = scratch->active[k];
+  auto& z = scratch->z[k];
+  auto& a = scratch->a[k];
+  z.assign(layer.out_dim(), 0.0f);
+  a.assign(layer.out_dim(), 0.0f);
+  VecMatCols(a_prev, scratch->support[k], layer.weights(), layer.bias(),
+             active, z);
+  // The next layer's support is built while applying the activation. The
+  // random-fill floor appends out of order; restore ascending order so the
+  // next layer sums its rows in index order.
+  auto& support = scratch->support[k + 1];
+  support.clear();
+  for (uint32_t j : active) {
+    a[j] = ActivationValue(layer.activation(), z[j]);
+    if (a[j] != 0.0f) support.push_back(j);
+  }
+  if (!std::is_sorted(support.begin(), support.end())) {
+    std::sort(support.begin(), support.end());
+  }
+}
+
 double AlshTrainer::TrainSample(std::span<const float> x, int32_t label,
                                 Scratch* scratch) {
   const size_t num_layers = net_.num_layers();
@@ -240,36 +313,22 @@ double AlshTrainer::TrainSample(std::span<const float> x, int32_t label,
   scratch->a.resize(num_layers);
   scratch->z.resize(num_layers);
   scratch->active.resize(num_hidden);
-
-  // Nonzero input coordinates: the sparse update support of layer 0.
-  scratch->input_support.clear();
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (x[i] != 0.0f) {
-      scratch->input_support.push_back(static_cast<uint32_t>(i));
-    }
-  }
+  scratch->support.resize(num_layers);
+  NonzeroSupport(x, &scratch->support[0]);
 
   // --- Feedforward over active nodes only ---
   {
     PhaseScope scope(&scratch->timer, kPhaseForward);
     std::span<const float> a_prev = x;
     for (size_t k = 0; k < num_hidden; ++k) {
-      const Layer& layer = net_.layer(k);
       {
         // Hash-probe selection, charged as a sub-phase nested inside
         // forward (the paper folds it into feedforward time).
         PhaseScope sampling(&scratch->timer, kPhaseSampling);
         SelectActive(k, a_prev, scratch);
       }
-      auto& z = scratch->z[k];
-      auto& a = scratch->a[k];
-      z.assign(layer.out_dim(), 0.0f);
-      a.assign(layer.out_dim(), 0.0f);
-      VecMatCols(a_prev, layer.weights(), layer.bias(), scratch->active[k], z);
-      for (uint32_t j : scratch->active[k]) {
-        a[j] = ActivationValue(layer.activation(), z[j]);
-      }
-      a_prev = a;
+      ForwardActive(k, a_prev, scratch);
+      a_prev = scratch->a[k];
     }
     // Output layer: exact (VecMat skips the zeros of the sparse a_prev).
     const Layer& out_layer = net_.layer(num_layers - 1);
@@ -303,12 +362,11 @@ double AlshTrainer::TrainSample(std::span<const float> x, int32_t label,
       const bool is_output = (k == num_layers - 1);
       std::span<const float> a_prev =
           (k == 0) ? x : std::span<const float>(scratch->a[k - 1]);
-      std::span<const uint32_t> prev_support;
-      if (k == 0) {
-        prev_support = scratch->input_support;
-      } else {
-        prev_support = scratch->active[k - 1];
-      }
+      const std::span<const uint32_t> prev_support =
+          (k == 0) ? scratch->support[0] : scratch->active[k - 1];
+      const std::span<const uint32_t> cols =
+          is_output ? std::span<const uint32_t>(output_cols_)
+                    : scratch->active[k];
 
       // delta for the previous layer, needed before this layer's update
       // mutates the weights.
@@ -319,54 +377,45 @@ double AlshTrainer::TrainSample(std::span<const float> x, int32_t label,
         const Matrix& w = layer.weights();
         const size_t n = w.cols();
         const float* wd = w.data();
-        if (is_output) {
-          // Dense over the (small) output dimension, sparse over rows.
-          for (uint32_t i : prev_support) {
-            const float* row = wd + static_cast<size_t>(i) * n;
-            float acc = 0.0f;
-            for (size_t j = 0; j < n; ++j) acc += delta[j] * row[j];
-            delta_prev[i] = acc;
+        // Sparse over rows; over columns, every output (in index order) or
+        // the active set (in its selection order). Four rows at a time
+        // give four independent accumulation chains, each summing in
+        // `cols` order.
+        size_t r = 0;
+        for (; r + 4 <= prev_support.size(); r += 4) {
+          const float* w0 = wd + static_cast<size_t>(prev_support[r]) * n;
+          const float* w1 = wd + static_cast<size_t>(prev_support[r + 1]) * n;
+          const float* w2 = wd + static_cast<size_t>(prev_support[r + 2]) * n;
+          const float* w3 = wd + static_cast<size_t>(prev_support[r + 3]) * n;
+          float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+          for (uint32_t j : cols) {
+            const float dj = delta[j];
+            acc0 += dj * w0[j];
+            acc1 += dj * w1[j];
+            acc2 += dj * w2[j];
+            acc3 += dj * w3[j];
           }
-        } else {
-          for (uint32_t i : prev_support) {
-            const float* row = wd + static_cast<size_t>(i) * n;
-            float acc = 0.0f;
-            for (uint32_t j : scratch->active[k]) acc += delta[j] * row[j];
-            delta_prev[i] = acc;
-          }
+          delta_prev[prev_support[r]] = acc0;
+          delta_prev[prev_support[r + 1]] = acc1;
+          delta_prev[prev_support[r + 2]] = acc2;
+          delta_prev[prev_support[r + 3]] = acc3;
+        }
+        for (; r < prev_support.size(); ++r) {
+          const float* row = wd + static_cast<size_t>(prev_support[r]) * n;
+          float acc = 0.0f;
+          for (uint32_t j : cols) acc += delta[j] * row[j];
+          delta_prev[prev_support[r]] = acc;
         }
         for (uint32_t i : prev_support) {
           delta_prev[i] *= ActivationGradValue(prev_layer.activation(),
                                                scratch->z[k - 1][i]);
         }
-        // Sparse weight update of this layer, then move down.
-        SparseOptState& opt = opt_states_[k];
-        if (is_output) {
-          for (size_t j = 0; j < layer.out_dim(); ++j) {
-            opt.UpdateColumn(&layer.weights(), layer.bias(), j, a_prev,
-                             prev_support, delta[j], lr_);
-          }
-        } else {
-          for (uint32_t j : scratch->active[k]) {
-            opt.UpdateColumn(&layer.weights(), layer.bias(), j, a_prev,
-                             prev_support, delta[j], lr_);
-          }
-        }
-        delta.swap(scratch->delta_prev);
-      } else {
-        SparseOptState& opt = opt_states_[0];
-        if (num_layers == 1) {
-          for (size_t j = 0; j < layer.out_dim(); ++j) {
-            opt.UpdateColumn(&layer.weights(), layer.bias(), j, a_prev,
-                             prev_support, delta[j], lr_);
-          }
-        } else {
-          for (uint32_t j : scratch->active[0]) {
-            opt.UpdateColumn(&layer.weights(), layer.bias(), j, a_prev,
-                             prev_support, delta[j], lr_);
-          }
-        }
       }
+      // Sparse weight update of this layer, then move down.
+      opt_states_[k].Update(&layer.weights(), layer.bias(), a_prev,
+                            prev_support, cols, delta, lr_,
+                            &scratch->update_scratch);
+      if (k > 0) delta.swap(scratch->delta_prev);
     }
   }
   return loss;
@@ -549,19 +598,13 @@ std::vector<float> AlshTrainer::ForwardSampleSparse(std::span<const float> x) {
   scratch.a.resize(num_layers);
   scratch.z.resize(num_layers);
   scratch.active.resize(num_hidden);
+  scratch.support.resize(num_layers);
+  NonzeroSupport(x, &scratch.support[0]);
   std::span<const float> a_prev = x;
   for (size_t k = 0; k < num_hidden; ++k) {
-    const Layer& layer = net_.layer(k);
     SelectActive(k, a_prev, &scratch);
-    auto& z = scratch.z[k];
-    auto& a = scratch.a[k];
-    z.assign(layer.out_dim(), 0.0f);
-    a.assign(layer.out_dim(), 0.0f);
-    VecMatCols(a_prev, layer.weights(), layer.bias(), scratch.active[k], z);
-    for (uint32_t j : scratch.active[k]) {
-      a[j] = ActivationValue(layer.activation(), z[j]);
-    }
-    a_prev = a;
+    ForwardActive(k, a_prev, &scratch);
+    a_prev = scratch.a[k];
   }
   const Layer& out_layer = net_.layer(num_layers - 1);
   std::vector<float> logits(out_layer.out_dim(), 0.0f);

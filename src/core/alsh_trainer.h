@@ -35,14 +35,19 @@ struct SparseOptState {
   static StatusOr<SparseOptState> Create(const Layer& layer,
                                          const std::string& mode_name);
 
-  /// Applies the full sparse update of column j: the gradient of W(i, j) is
-  /// delta_j * a_prev[i] for i in `prev_support` (zero elsewhere), and the
-  /// bias gradient is delta_j. Adam advances column j's lazy timestep once
-  /// per call.
-  void UpdateColumn(Matrix* w, std::span<float> bias, size_t j,
-                    std::span<const float> a_prev,
-                    std::span<const uint32_t> prev_support, float delta_j,
-                    float lr);
+  /// Applies one sample's sparse update to the distinct columns `cols`: the
+  /// gradient of W(i, j) is delta[j] * a_prev[i] for i in `prev_support`
+  /// (zero elsewhere) and the bias gradient is delta[j]; entries whose
+  /// gradient is exactly zero keep their state. Adam advances each column's
+  /// lazy timestep once. A per-column pass updates the biases and step
+  /// sizes, then one pass walks W and its moments row by row; every entry
+  /// depends only on its own state, so this equals updating the columns one
+  /// at a time. `scratch` holds per-column temporaries (caller-owned, one
+  /// per thread).
+  void Update(Matrix* w, std::span<float> bias, std::span<const float> a_prev,
+              std::span<const uint32_t> prev_support,
+              std::span<const uint32_t> cols, std::span<const float> delta,
+              float lr, std::vector<float>* scratch);
 };
 
 /// \brief The ALSH-approx trainer.
@@ -101,8 +106,12 @@ class AlshTrainer : public Trainer {
     std::vector<std::vector<float>> a;          // activations per layer
     std::vector<std::vector<float>> z;          // pre-activations per layer
     std::vector<std::vector<uint32_t>> active;  // active set per hidden layer
-    std::vector<uint32_t> input_support;        // nonzero input indices
+    // support[0] holds the nonzero input indices, support[k + 1] the
+    // nonzero activations of hidden layer k; all ascending.
+    std::vector<std::vector<uint32_t>> support;
     std::vector<float> delta, delta_prev;
+    std::vector<float> update_scratch;  // SparseOptState::Update temporaries
+    AlshIndex::QueryScratch probe;
     Rng rng{0};
     // Per-worker phase timing, merged into the trainer timer at the end of
     // each Step (SplitTimer itself is not thread-safe). In parallel mode the
@@ -121,6 +130,10 @@ class AlshTrainer : public Trainer {
                      Scratch* scratch);
   void SelectActive(size_t hidden_layer, std::span<const float> a_prev,
                     Scratch* scratch);
+  // Hidden layer k's forward over its selected active set: z and a over the
+  // active nodes (zero elsewhere) and support[k + 1]. Reads support[k].
+  void ForwardActive(size_t k, std::span<const float> a_prev,
+                     Scratch* scratch);
   void MaybeRebuild();
 
   AlshOptions options_;
@@ -129,6 +142,7 @@ class AlshTrainer : public Trainer {
   bool initialized_ = false;
   std::vector<AlshIndex> indexes_;          // one per hidden layer
   std::vector<SparseOptState> opt_states_;  // one per layer (incl. output)
+  std::vector<uint32_t> output_cols_;       // 0..out_dim-1: all updated
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Scratch> scratches_;
 

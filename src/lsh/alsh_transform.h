@@ -31,7 +31,9 @@ class AlshTransform {
 
   /// Computes the scale s = U / max_j ||W_{*j}|| from the columns of `w`
   /// (each column is one data vector, matching the paper's use of weight
-  /// columns as the MIPS database). A zero matrix gets scale 1.
+  /// columns as the MIPS database). A zero matrix gets scale 1. Reads `w`
+  /// row by row; each column's norm is still summed in double precision
+  /// over ascending rows.
   void FitScaleFromColumns(const Matrix& w);
 
   /// Sets the scale directly (used when the caller tracks norms itself).
@@ -41,8 +43,12 @@ class AlshTransform {
   /// Transformed dimension: dim + m.
   size_t TransformedDim(size_t dim) const { return dim + options_.m; }
 
-  /// P transform of a data vector into `out` (size dim + m).
-  void TransformData(std::span<const float> w, std::span<float> out) const;
+  /// P transform of columns [begin, end) of `w` (dim = w.rows()): row c of
+  /// `out` ((end - begin) x (dim + m), row-major) receives P(W_{*, begin+c}).
+  /// Reads `w` row by row, a blocked transpose; each column's norm is
+  /// summed in double precision over ascending rows.
+  void TransformColumns(const Matrix& w, size_t begin, size_t end,
+                        std::span<float> out) const;
 
   /// Q transform of a query vector into `out` (size dim + m). The query is
   /// normalized to unit length; a zero query is passed through with zero

@@ -26,14 +26,6 @@ const char* LshFamilyToString(LshFamily family) {
   return "unknown";
 }
 
-uint32_t AlshIndex::HashWith(const LshFunction& fn, std::span<const float> x) {
-  return std::visit([&x](const auto& h) { return h.Hash(x); }, fn);
-}
-
-uint32_t AlshIndex::BucketsOf(const LshFunction& fn) {
-  return std::visit([](const auto& h) { return h.num_buckets(); }, fn);
-}
-
 StatusOr<AlshIndex> AlshIndex::Create(size_t dim,
                                       const AlshIndexOptions& options,
                                       uint64_t seed) {
@@ -44,44 +36,55 @@ StatusOr<AlshIndex> AlshIndex::Create(size_t dim,
   SAMPNN_ASSIGN_OR_RETURN(AlshTransform transform,
                           AlshTransform::Create(options.transform));
   Rng rng(seed);
-  std::vector<LshFunction> hashes;
-  hashes.reserve(options.tables);
+  std::optional<SrpHash> srp;
+  std::vector<WtaHash> wta;
   const size_t tdim = transform.TransformedDim(dim);
-  for (size_t t = 0; t < options.tables; ++t) {
-    if (options.family == LshFamily::kSrp) {
-      SAMPNN_ASSIGN_OR_RETURN(SrpHash h,
-                              SrpHash::Create(tdim, options.bits, rng));
-      hashes.emplace_back(std::move(h));
-    } else {
-      // WTA: `bits` budgets the code width; each sub-hash spends
-      // log2(window) bits.
-      const size_t bits_per = std::bit_width(options.wta_window) - 1;
-      if (bits_per == 0 || options.bits < bits_per) {
-        return Status::InvalidArgument(
-            "AlshIndex: bits too small for the WTA window");
-      }
+  if (options.family == LshFamily::kSrp) {
+    SAMPNN_ASSIGN_OR_RETURN(
+        SrpHash h, SrpHash::Create(tdim, options.bits, rng, options.tables));
+    srp.emplace(std::move(h));
+  } else {
+    // WTA: `bits` budgets the code width; each sub-hash spends
+    // log2(window) bits.
+    const size_t bits_per = std::bit_width(options.wta_window) - 1;
+    if (bits_per == 0 || options.bits < bits_per) {
+      return Status::InvalidArgument(
+          "AlshIndex: bits too small for the WTA window");
+    }
+    wta.reserve(options.tables);
+    for (size_t t = 0; t < options.tables; ++t) {
       SAMPNN_ASSIGN_OR_RETURN(
           WtaHash h, WtaHash::Create(tdim, options.bits / bits_per,
                                      options.wta_window, rng));
-      hashes.emplace_back(std::move(h));
+      wta.push_back(std::move(h));
     }
   }
-  return AlshIndex(dim, options, std::move(transform), std::move(hashes),
-                   rng.NextU64());
+  return AlshIndex(dim, options, std::move(transform), std::move(srp),
+                   std::move(wta), rng.NextU64());
 }
 
 AlshIndex::AlshIndex(size_t dim, const AlshIndexOptions& options,
-                     AlshTransform transform, std::vector<LshFunction> hashes,
-                     uint64_t reservoir_seed)
+                     AlshTransform transform, std::optional<SrpHash> srp,
+                     std::vector<WtaHash> wta, uint64_t reservoir_seed)
     : dim_(dim),
       options_(options),
       transform_(std::move(transform)),
-      hashes_(std::move(hashes)),
+      srp_(std::move(srp)),
+      wta_(std::move(wta)),
       reservoir_rng_(reservoir_seed) {
-  buckets_.resize(options_.tables);
-  for (size_t t = 0; t < buckets_.size(); ++t) {
-    buckets_[t].resize(BucketsOf(hashes_[t]));
+  const uint32_t num_buckets =
+      srp_ ? srp_->num_buckets() : wta_.front().num_buckets();
+  buckets_.assign(options_.tables,
+                  std::vector<std::vector<uint32_t>>(num_buckets));
+}
+
+void AlshIndex::Codes(std::span<const float> transformed,
+                      std::span<uint32_t> codes) const {
+  if (srp_) {
+    srp_->HashAll(transformed, codes);
+    return;
   }
+  for (size_t t = 0; t < wta_.size(); ++t) codes[t] = wta_[t].Hash(transformed);
 }
 
 void AlshIndex::Build(const Matrix& w) {
@@ -92,41 +95,51 @@ void AlshIndex::Build(const Matrix& w) {
   transform_.FitScaleFromColumns(w);
   num_items_ = w.cols();
 
-  std::vector<float> col(dim_);
-  std::vector<float> transformed(transform_.TransformedDim(dim_));
-  for (size_t j = 0; j < w.cols(); ++j) {
-    for (size_t i = 0; i < dim_; ++i) col[i] = w(i, j);
-    transform_.TransformData(col, transformed);
-    for (size_t t = 0; t < hashes_.size(); ++t) {
-      const uint32_t code = HashWith(hashes_[t], transformed);
-      auto& bucket = buckets_[t][code];
-      if (options_.max_bucket_size > 0 &&
-          bucket.size() >= options_.max_bucket_size) {
-        // Reservoir replacement keeps each item equally likely to survive.
-        const uint64_t slot = reservoir_rng_.NextBounded(bucket.size() + 1);
-        if (slot < bucket.size()) {
-          bucket[slot] = static_cast<uint32_t>(j);
+  // Columns are transformed a block at a time: 64 columns of P(w) are
+  // ~250 KB at the paper's width, so the block stays cache-resident while
+  // it is hashed.
+  constexpr size_t kColumnBlock = 64;
+  const size_t tdim = transform_.TransformedDim(dim_);
+  std::vector<float> block(kColumnBlock * tdim);
+  std::vector<uint32_t> codes(buckets_.size());
+  for (size_t j0 = 0; j0 < w.cols(); j0 += kColumnBlock) {
+    const size_t j1 = std::min(w.cols(), j0 + kColumnBlock);
+    const std::span<float> transformed(block.data(), (j1 - j0) * tdim);
+    transform_.TransformColumns(w, j0, j1, transformed);
+    for (size_t j = j0; j < j1; ++j) {
+      Codes(transformed.subspan((j - j0) * tdim, tdim), codes);
+      for (size_t t = 0; t < buckets_.size(); ++t) {
+        auto& bucket = buckets_[t][codes[t]];
+        if (options_.max_bucket_size > 0 &&
+            bucket.size() >= options_.max_bucket_size) {
+          // Reservoir replacement keeps each item equally likely to survive.
+          const uint64_t slot = reservoir_rng_.NextBounded(bucket.size() + 1);
+          if (slot < bucket.size()) {
+            bucket[slot] = static_cast<uint32_t>(j);
+          }
+        } else {
+          bucket.push_back(static_cast<uint32_t>(j));
         }
-      } else {
-        bucket.push_back(static_cast<uint32_t>(j));
       }
     }
   }
   ++build_count_;
 }
 
-void AlshIndex::Query(std::span<const float> a,
-                      std::vector<uint32_t>* out) const {
+void AlshIndex::Query(std::span<const float> a, std::vector<uint32_t>* out,
+                      QueryScratch* scratch) const {
   SAMPNN_CHECK(out != nullptr);
+  SAMPNN_CHECK(scratch != nullptr);
   SAMPNN_CHECK_EQ(a.size(), dim_);
   out->clear();
   if (num_items_ == 0) return;
-  std::vector<float> transformed(transform_.TransformedDim(dim_));
-  transform_.TransformQuery(a, transformed);
+  scratch->transformed.resize(transform_.TransformedDim(dim_));
+  scratch->codes.resize(buckets_.size());
+  transform_.TransformQuery(a, scratch->transformed);
+  Codes(scratch->transformed, scratch->codes);
   const bool telemetry = TelemetryEnabled();
-  for (size_t t = 0; t < hashes_.size(); ++t) {
-    const uint32_t code = HashWith(hashes_[t], transformed);
-    const auto& bucket = buckets_[t][code];
+  for (size_t t = 0; t < buckets_.size(); ++t) {
+    const auto& bucket = buckets_[t][scratch->codes[t]];
     out->insert(out->end(), bucket.begin(), bucket.end());
     if (telemetry) {
       static Histogram& h =

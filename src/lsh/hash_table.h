@@ -6,9 +6,9 @@
 
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "src/lsh/alsh_transform.h"
@@ -63,14 +63,35 @@ class AlshIndex {
                                     uint64_t seed);
 
   /// (Re)hashes all columns of `w` into the tables; w.rows() must equal dim.
-  /// Refits the data scale from the current column norms.
+  /// Refits the data scale from the current column norms. Columns are
+  /// transformed in row-major blocks and inserted in ascending column
+  /// order, table by table, so capped buckets draw the reservoir stream in
+  /// a fixed order.
   void Build(const Matrix& w);
+
+  /// Caller-owned probe buffers, reused across Query() calls so the probe
+  /// path does not allocate. One per thread.
+  struct QueryScratch {
+    std::vector<float> transformed;  ///< Q(a), length dim + m
+    std::vector<uint32_t> codes;     ///< one bucket code per table
+  };
 
   /// Probes the L tables with query `a` (length dim) and writes the union
   /// of bucket members to `out` (cleared first). Members are unique and
-  /// sorted ascending. Thread-safe against concurrent Query() calls (but
-  /// not against a concurrent Build()).
-  void Query(std::span<const float> a, std::vector<uint32_t>* out) const;
+  /// sorted ascending. Thread-safe against concurrent Query() calls with
+  /// distinct scratches (but not against a concurrent Build()).
+  void Query(std::span<const float> a, std::vector<uint32_t>* out,
+             QueryScratch* scratch) const;
+  /// As above with a temporary scratch (allocates; off the training path).
+  void Query(std::span<const float> a, std::vector<uint32_t>* out) const {
+    QueryScratch scratch;
+    Query(a, out, &scratch);
+  }
+
+  /// Members of bucket `code` of table `table`, in insertion order.
+  const std::vector<uint32_t>& bucket(size_t table, uint32_t code) const {
+    return buckets_[table][code];
+  }
 
   /// Number of indexed items (columns of the last Build matrix).
   size_t num_items() const { return num_items_; }
@@ -96,19 +117,19 @@ class AlshIndex {
   Status LoadState(std::istream& in);
 
  private:
-  using LshFunction = std::variant<SrpHash, WtaHash>;
-
   AlshIndex(size_t dim, const AlshIndexOptions& options,
-            AlshTransform transform, std::vector<LshFunction> hashes,
-            uint64_t reservoir_seed);
+            AlshTransform transform, std::optional<SrpHash> srp,
+            std::vector<WtaHash> wta, uint64_t reservoir_seed);
 
-  static uint32_t HashWith(const LshFunction& fn, std::span<const float> x);
-  static uint32_t BucketsOf(const LshFunction& fn);
+  // Every table's bucket code for one transformed vector.
+  void Codes(std::span<const float> transformed,
+             std::span<uint32_t> codes) const;
 
   size_t dim_;
   AlshIndexOptions options_;
   AlshTransform transform_;
-  std::vector<LshFunction> hashes_;  // one meta hash per table
+  std::optional<SrpHash> srp_;  // kSrp: all L meta hashes, fused
+  std::vector<WtaHash> wta_;    // kWta: one meta hash per table
   // buckets_[t][code] = item ids. Flat per table for locality.
   std::vector<std::vector<std::vector<uint32_t>>> buckets_;
   size_t num_items_ = 0;

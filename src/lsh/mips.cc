@@ -1,21 +1,27 @@
 #include "src/lsh/mips.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "src/tensor/kernels.h"
 #include "src/util/check.h"
 
 namespace sampnn {
 
 namespace {
 
-float ColumnDot(const Matrix& m, size_t col, std::span<const float> x) {
-  SAMPNN_DCHECK_EQ(x.size(), m.rows());
-  SAMPNN_DCHECK_BOUNDS(col, m.cols());
-  const size_t n = m.cols();
-  const float* d = m.data() + col;
-  float acc = 0.0f;
-  for (size_t i = 0; i < m.rows(); ++i) acc += x[i] * d[i * n];
-  return acc;
+std::vector<uint32_t> Iota(size_t n) {
+  std::vector<uint32_t> v(n);
+  std::iota(v.begin(), v.end(), 0u);
+  return v;
+}
+
+// Exact inner products <x, M_{*j}> for j in `cols`, written to dots[j]. All
+// rows take part, zeros included, so each product is the column-at-a-time
+// sum over ascending rows bit for bit.
+void ColumnDots(const Matrix& m, std::span<const float> x,
+                std::span<const uint32_t> cols, std::span<float> dots) {
+  VecMatCols(x, Iota(m.rows()), m, {}, cols, dots);
 }
 
 }  // namespace
@@ -23,9 +29,11 @@ float ColumnDot(const Matrix& m, size_t col, std::span<const float> x) {
 std::vector<MipsResult> ExactMips(const Matrix& database,
                                   std::span<const float> query, size_t k) {
   SAMPNN_CHECK_EQ(query.size(), database.rows());
+  std::vector<float> dots(database.cols());
+  ColumnDots(database, query, Iota(database.cols()), dots);
   std::vector<MipsResult> all(database.cols());
   for (size_t j = 0; j < database.cols(); ++j) {
-    all[j] = {static_cast<uint32_t>(j), ColumnDot(database, j, query)};
+    all[j] = {static_cast<uint32_t>(j), dots[j]};
   }
   k = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + k, all.end(),
@@ -55,11 +63,11 @@ std::vector<MipsResult> AlshMips::Query(std::span<const float> query,
                                         size_t k) const {
   std::vector<uint32_t> candidates;
   index_.Query(query, &candidates);
+  std::vector<float> dots(database_.cols());
+  ColumnDots(database_, query, candidates, dots);
   std::vector<MipsResult> results;
   results.reserve(candidates.size());
-  for (uint32_t id : candidates) {
-    results.push_back({id, ColumnDot(database_, id, query)});
-  }
+  for (uint32_t id : candidates) results.push_back({id, dots[id]});
   k = std::min(k, results.size());
   std::partial_sort(results.begin(), results.begin() + k, results.end(),
                     [](const MipsResult& a, const MipsResult& b) {

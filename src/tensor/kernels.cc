@@ -24,8 +24,6 @@ constexpr size_t kBlockJ = 256;
 // after input-sparsity shortcuts. The packed GEMM path skips nothing, so
 // the two coincide there; VecMat still skips zero input rows (dropout
 // produces exact zeros on the SGD path), so its realized count is lower.
-// SparseDot is left uninstrumented: it runs once per active node per
-// sample, where even a gated atomic add is measurable.
 inline void CountDenseFlops(size_t nominal, size_t realized) {
   if (!TelemetryEnabled()) return;
   static Counter& n = MetricsRegistry::Get().GetCounter("tensor.gemm.flops");
@@ -253,74 +251,52 @@ void ColumnSums(const Matrix& m, std::span<float> out) {
   }
 }
 
-void VecMatCols(std::span<const float> x, const Matrix& w,
-                std::span<const float> bias, std::span<const uint32_t> cols,
-                std::span<float> y) {
+void VecMatCols(std::span<const float> x, std::span<const uint32_t> rows,
+                const Matrix& w, std::span<const float> bias,
+                std::span<const uint32_t> cols, std::span<float> y) {
   const size_t k = w.rows(), n = w.cols();
   SAMPNN_CHECK_EQ(x.size(), k);
   SAMPNN_CHECK_EQ(y.size(), n);
+  SAMPNN_CHECK(bias.empty() || bias.size() == n);
+  // Charged as the dense-column product 2*k*|cols| whatever the support.
   CountSparseFlops(2 * k * cols.size());
-  const float* wd = w.data();
+  float* yd = y.data();
   for (uint32_t j : cols) {
     SAMPNN_DCHECK_BOUNDS(j, n);
-    float acc = bias.empty() ? 0.0f : bias[j];
-    const float* col = wd + j;
-    for (size_t i = 0; i < k; ++i) acc += x[i] * col[i * n];
-    y[j] = acc;
+    yd[j] = bias.empty() ? 0.0f : bias[j];
   }
-}
-
-float SparseDot(std::span<const float> x, const Matrix& w, size_t col,
-                std::span<const uint32_t> rows) {
-  SAMPNN_DCHECK_BOUNDS(col, w.cols());
-  SAMPNN_DCHECK_EQ(x.size(), w.rows());
-  const size_t n = w.cols();
+  // Four rows per pass over `cols`: each y[j] takes its four terms in row
+  // order, so the sum order is unchanged while y is loaded and stored once
+  // per four rows.
   const float* wd = w.data();
-  float acc = 0.0f;
-  for (uint32_t i : rows) {
-    SAMPNN_DCHECK_BOUNDS(i, w.rows());
-    acc += x[i] * wd[i * n + col];
-  }
-  return acc;
-}
-
-void BackpropActiveCols(std::span<const float> delta, const Matrix& w,
-                        std::span<const uint32_t> cols,
-                        std::span<float> delta_prev) {
-  const size_t k = w.rows(), n = w.cols();
-  SAMPNN_CHECK_EQ(delta.size(), n);
-  SAMPNN_CHECK_EQ(delta_prev.size(), k);
-  CountSparseFlops(2 * k * cols.size());
-  const float* wd = w.data();
-  for (uint32_t j : cols) {
-    SAMPNN_DCHECK_BOUNDS(j, n);
-    const float dv = delta[j];
-    if (dv == 0.0f) continue;
-    const float* col = wd + j;
-    for (size_t i = 0; i < k; ++i) delta_prev[i] += dv * col[i * n];
-  }
-}
-
-void SparseOuterUpdate(std::span<const float> a_prev,
-                       std::span<const float> delta,
-                       std::span<const uint32_t> cols, float lr, Matrix* w,
-                       std::span<float> bias) {
-  SAMPNN_CHECK(w != nullptr);
-  const size_t k = w->rows(), n = w->cols();
-  SAMPNN_CHECK_EQ(a_prev.size(), k);
-  SAMPNN_CHECK_EQ(delta.size(), n);
-  SAMPNN_CHECK_EQ(bias.size(), n);
-  CountSparseFlops(2 * k * cols.size());
-  float* wd = w->data();
-  for (uint32_t j : cols) {
-    SAMPNN_DCHECK_BOUNDS(j, n);
-    const float step = lr * delta[j];
-    if (step == 0.0f) continue;
-    float* col = wd + j;
-    for (size_t i = 0; i < k; ++i) {
-      if (a_prev[i] != 0.0f) col[i * n] -= step * a_prev[i];
+  const uint32_t* cd = cols.data();
+  const size_t m = cols.size();
+  size_t r = 0;
+  for (; r + 4 <= rows.size(); r += 4) {
+    const uint32_t i0 = rows[r], i1 = rows[r + 1], i2 = rows[r + 2],
+                   i3 = rows[r + 3];
+    SAMPNN_DCHECK(i0 < k && i1 < k && i2 < k && i3 < k);
+    const float x0 = x[i0], x1 = x[i1], x2 = x[i2], x3 = x[i3];
+    const float* w0 = wd + i0 * n;
+    const float* w1 = wd + i1 * n;
+    const float* w2 = wd + i2 * n;
+    const float* w3 = wd + i3 * n;
+    for (size_t t = 0; t < m; ++t) {
+      const uint32_t j = cd[t];
+      float acc = yd[j];
+      acc += x0 * w0[j];
+      acc += x1 * w1[j];
+      acc += x2 * w2[j];
+      acc += x3 * w3[j];
+      yd[j] = acc;
     }
-    bias[j] -= step;
+  }
+  for (; r < rows.size(); ++r) {
+    const uint32_t i = rows[r];
+    SAMPNN_DCHECK_BOUNDS(i, k);
+    const float xv = x[i];
+    const float* wi = wd + i * n;
+    for (size_t t = 0; t < m; ++t) yd[cd[t]] += xv * wi[cd[t]];
   }
 }
 

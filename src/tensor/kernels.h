@@ -62,28 +62,17 @@ void ColumnSums(const Matrix& m, std::span<float> out);
 // Sparse / active-set kernels (the sampling-based substitutes).
 // ---------------------------------------------------------------------------
 
-/// For each active column j in `cols`: y[j] = <x, W[:, j]> + bias[j].
+/// Support-restricted product: for each active column j in `cols`,
+/// y[j] = bias[j] + sum over i in `rows` of x[i] * W(i, j) (bias empty = 0).
+/// `rows` is the support of x — every row whose x[i] is nonzero, ascending;
+/// passing every row of W gives the exact dense column products. `cols`
+/// must be distinct. Walks W row by row, and each y[j] still sums in the
+/// order of `rows` with a separate multiply and add, so the result is
+/// bitwise that of a column-at-a-time dot product over the same rows.
 /// Entries of y outside `cols` are left untouched (callers zero y first to
 /// realize the paper's "estimate inactive activations as zero").
-void VecMatCols(std::span<const float> x, const Matrix& w,
-                std::span<const float> bias,
+void VecMatCols(std::span<const float> x, std::span<const uint32_t> rows,
+                const Matrix& w, std::span<const float> bias,
                 std::span<const uint32_t> cols, std::span<float> y);
-
-/// Restricted inner product: sum over i in `rows` of x[i] * W(i, j).
-float SparseDot(std::span<const float> x, const Matrix& w, size_t col,
-                std::span<const uint32_t> rows);
-
-/// delta_prev[i] += sum over active j of delta[j] * W(i, j), for all i in
-/// [0, w.rows()). Backprop through active columns only.
-void BackpropActiveCols(std::span<const float> delta, const Matrix& w,
-                        std::span<const uint32_t> cols,
-                        std::span<float> delta_prev);
-
-/// Rank-1 sparse update: W(:, j) -= lr * delta[j] * a_prev for active j,
-/// bias[j] -= lr * delta[j]. The sparse weight update of ALSH-approx.
-void SparseOuterUpdate(std::span<const float> a_prev,
-                       std::span<const float> delta,
-                       std::span<const uint32_t> cols, float lr, Matrix* w,
-                       std::span<float> bias);
 
 }  // namespace sampnn

@@ -38,9 +38,10 @@ TEST(AlshTransformTest, TransformedDimAddsM) {
 TEST(AlshTransformTest, DataPaddingIsNormPowers) {
   AlshTransform t = MakeTransform(3);
   t.SetScale(1.0f);  // no scaling: padding is ||w||^2, ||w||^4, ||w||^8
-  std::vector<float> w{3.0f, 4.0f};  // ||w|| = 5
+  // One column, ||w|| = 5.
+  auto w = std::move(Matrix::FromVector(2, 1, {3.0f, 4.0f})).value();
   std::vector<float> out(5);
-  t.TransformData(w, out);
+  t.TransformColumns(w, 0, 1, out);
   EXPECT_FLOAT_EQ(out[0], 3.0f);
   EXPECT_FLOAT_EQ(out[1], 4.0f);
   EXPECT_FLOAT_EQ(out[2], 25.0f);
@@ -84,9 +85,8 @@ TEST(AlshTransformTest, FitScaleBoundsMaxColumnNorm) {
   // Column norms: 5 and 1 -> scale = 0.8 / 5.
   t.FitScaleFromColumns(w);
   EXPECT_FLOAT_EQ(t.scale(), 0.16f);
-  std::vector<float> col{3.0f, 4.0f};
   std::vector<float> out(5);
-  t.TransformData(col, out);
+  t.TransformColumns(w, 0, 1, out);  // column 0 = (3, 4)
   const float norm = std::sqrt(out[0] * out[0] + out[1] * out[1]);
   EXPECT_NEAR(norm, 0.8f, 1e-5f);
 }
@@ -127,10 +127,9 @@ TEST(AlshTransformTest, MipsReducesToNearestNeighbor) {
     t.TransformQuery(q, tq);
     size_t best_nn = 0;
     float best_dist = 1e30f;
-    std::vector<float> col(kDim), tw(t.TransformedDim(kDim));
+    std::vector<float> tw(t.TransformedDim(kDim));
     for (size_t j = 0; j < kItems; ++j) {
-      for (size_t i = 0; i < kDim; ++i) col[i] = w(i, j);
-      t.TransformData(col, tw);
+      t.TransformColumns(w, j, j + 1, tw);
       float dist = 0.0f;
       for (size_t i = 0; i < tw.size(); ++i) {
         const float d = tq[i] - tw[i];

@@ -171,63 +171,19 @@ TEST(VecMatColsTest, MatchesDenseOnActiveColumns) {
   std::vector<float> x(12), bias(8), dense(8), sparse(8, -77.0f);
   for (auto& v : x) v = rng.NextGaussian();
   for (auto& v : bias) v = rng.NextGaussian();
+  // Zero out some inputs: the support skips them, the dense product adds 0.
+  x[2] = x[5] = x[9] = 0.0f;
   VecMat(x, w, bias, dense);
-  const std::vector<uint32_t> active{1, 3, 6};
-  VecMatCols(x, w, bias, active, sparse);
+  std::vector<uint32_t> support;
+  for (uint32_t i = 0; i < 12; ++i) {
+    if (x[i] != 0.0f) support.push_back(i);
+  }
+  const std::vector<uint32_t> active{6, 1, 3};
+  VecMatCols(x, support, w, bias, active, sparse);
   for (uint32_t j : active) EXPECT_NEAR(sparse[j], dense[j], 1e-4f);
   // Untouched entries keep their previous value.
   EXPECT_EQ(sparse[0], -77.0f);
   EXPECT_EQ(sparse[7], -77.0f);
-}
-
-TEST(SparseDotTest, MatchesRestrictedSum) {
-  Rng rng(7);
-  Matrix w = Matrix::RandomGaussian(6, 4, rng);
-  std::vector<float> x(6);
-  for (auto& v : x) v = rng.NextGaussian();
-  const std::vector<uint32_t> rows{0, 2, 5};
-  float expected = 0.0f;
-  for (uint32_t i : rows) expected += x[i] * w(i, 2);
-  EXPECT_NEAR(SparseDot(x, w, 2, rows), expected, 1e-5f);
-}
-
-TEST(BackpropActiveColsTest, MatchesDenseWithMaskedDelta) {
-  Rng rng(8);
-  Matrix w = Matrix::RandomGaussian(9, 7, rng);
-  std::vector<float> delta(7);
-  for (auto& v : delta) v = rng.NextGaussian();
-  const std::vector<uint32_t> active{0, 4, 5};
-  // Dense reference: delta masked to active columns, times W^T.
-  std::vector<float> expected(9, 0.0f);
-  for (uint32_t j : active) {
-    for (size_t i = 0; i < 9; ++i) expected[i] += delta[j] * w(i, j);
-  }
-  std::vector<float> got(9, 0.0f);
-  BackpropActiveCols(delta, w, active, got);
-  for (size_t i = 0; i < 9; ++i) EXPECT_NEAR(got[i], expected[i], 1e-4f);
-}
-
-TEST(SparseOuterUpdateTest, MatchesDenseSgdOnActiveColumns) {
-  Rng rng(9);
-  Matrix w = Matrix::RandomGaussian(5, 6, rng);
-  Matrix w_ref = w;
-  std::vector<float> bias(6, 0.5f), bias_ref(6, 0.5f);
-  std::vector<float> a_prev(5), delta(6);
-  for (auto& v : a_prev) v = rng.NextGaussian();
-  for (auto& v : delta) v = rng.NextGaussian();
-  const std::vector<uint32_t> active{1, 4};
-  const float lr = 0.1f;
-  SparseOuterUpdate(a_prev, delta, active, lr, &w, bias);
-  for (uint32_t j : active) {
-    for (size_t i = 0; i < 5; ++i) {
-      w_ref(i, j) -= lr * delta[j] * a_prev[i];
-    }
-    bias_ref[j] -= lr * delta[j];
-  }
-  EXPECT_TRUE(w.AllClose(w_ref, 1e-5f));
-  for (size_t j = 0; j < 6; ++j) EXPECT_NEAR(bias[j], bias_ref[j], 1e-5f);
-  // Inactive columns untouched.
-  EXPECT_EQ(w(0, 0), w_ref(0, 0));
 }
 
 }  // namespace
