@@ -249,13 +249,13 @@ SweepShapeSpec ParseShape(const std::string& spec) {
 
 int RunSweep(const std::vector<std::string>& args) {
   // Defaults cover the cache-blocking regimes (L2-resident 256, streaming
-  // 512/1024) and the tall/flat MLP shapes with one Mc block or one column
-  // chunk dimension dominating.
-  std::vector<SweepShapeSpec> shapes = {{256, 256, 256},
-                                        {512, 512, 512},
-                                        {1024, 1024, 1024},
-                                        {64, 1024, 1024},
-                                        {1024, 1024, 64}};
+  // 512/1024), the tall/flat MLP shapes with one Mc block or one column
+  // chunk dimension dominating, and the paper's skinny layer products at
+  // 1, 8 and 20 rows, which read B in place.
+  std::vector<SweepShapeSpec> shapes = {
+      {256, 256, 256},    {512, 512, 512},   {1024, 1024, 1024},
+      {64, 1024, 1024},   {1024, 1024, 64},  {1, 1000, 1000},
+      {8, 1000, 1000},    {20, 784, 1000},   {20, 1000, 1000}};
   std::vector<size_t> threads = DefaultThreadCounts();
   std::string out_path = "results/BENCH_gemm.json";
   for (const auto& arg : args) {

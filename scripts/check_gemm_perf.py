@@ -8,9 +8,11 @@ Usage:
 
 Reads the JSON the `bench_micro_gemm --sweep` mode writes and enforces:
 
-  1. packed/scalar ratio: at the gate shape (default 512^3) the packed
-     single-thread GEMM must be at least --min-ratio times the seed scalar
-     loop (default 1.0: "never slower than the code it replaced").
+  1. packed/scalar ratio: at the gate shape (default 512^3), and at each
+     of the paper's skinny layer products (SKINNY_SHAPES) the sweep
+     covers, the single-thread GEMM must be at least --min-ratio times the
+     seed scalar loop (default 1.0: "never slower than the code it
+     replaced").
   2. multi-worker never slower (HARD failure): at every swept shape with at
      least 256^3 flops volume, the best run at every effective worker count
      > 1 must reach --mt-tolerance (default 0.95) of the single-worker
@@ -31,6 +33,11 @@ Exit code 0 on success; prints the first problem and exits 1 otherwise.
 import argparse
 import json
 import sys
+
+# The paper's layer products at batch 1, a full serve micro-batch (8) and
+# batch 20, as (m, k, n); gate 1 covers each one the sweep includes.
+SKINNY_SHAPES = ((1, 1000, 1000), (8, 1000, 1000), (20, 784, 1000),
+                 (20, 1000, 1000))
 
 
 def fail(msg: str) -> None:
@@ -93,24 +100,36 @@ def main() -> None:
                 by_w = packed.setdefault(key, {})
                 by_w[w] = max(by_w.get(w, 0.0), gf)
 
+    blk = doc.get("block", {})
+
+    def gate_vs_scalar(key):
+        """Gate 1 at one shape; returns the 1-worker throughput."""
+        if scalar[key] <= 0:
+            fail(f"scalar_seed gflops is non-positive: {scalar[key]}")
+        packed1 = packed[key][1]
+        ratio = packed1 / scalar[key]
+        print(f"check_gemm_perf: shape {shape_name(key)}: scalar "
+              f"{scalar[key]:.2f} GFLOP/s, packed(1w) {packed1:.2f} GFLOP/s, "
+              f"ratio {ratio:.2f}x (avx2_fma={doc.get('avx2_fma')}, "
+              f"block mc={blk.get('mc')} kc={blk.get('kc')} "
+              f"nc={blk.get('nc')})")
+        if ratio < args.min_ratio:
+            fail(f"packed 1-worker GEMM ratio {ratio:.2f}x is below the "
+                 f"{args.min_ratio:.2f}x floor at {shape_name(key)}")
+        return packed1
+
     gate = (args.shape, args.shape, args.shape)
     if gate not in scalar:
         fail(f"no scalar_seed record at shape {args.shape}")
     if gate not in packed or 1 not in packed[gate]:
         fail(f"no packed 1-worker record at shape {args.shape}")
-    if scalar[gate] <= 0:
-        fail(f"scalar_seed gflops is non-positive: {scalar[gate]}")
-
-    blk = doc.get("block", {})
-    packed1 = packed[gate][1]
-    ratio = packed1 / scalar[gate]
-    print(f"check_gemm_perf: shape {args.shape}^3: scalar "
-          f"{scalar[gate]:.2f} GFLOP/s, packed(1w) {packed1:.2f} GFLOP/s, "
-          f"ratio {ratio:.2f}x (avx2_fma={doc.get('avx2_fma')}, "
-          f"block mc={blk.get('mc')} kc={blk.get('kc')} nc={blk.get('nc')})")
-    if ratio < args.min_ratio:
-        fail(f"packed 1-worker GEMM ratio {ratio:.2f}x is below the "
-             f"{args.min_ratio:.2f}x floor at {args.shape}^3")
+    packed1 = gate_vs_scalar(gate)
+    for key in SKINNY_SHAPES:
+        if key in scalar and 1 in packed.get(key, {}):
+            gate_vs_scalar(key)
+        else:
+            print(f"check_gemm_perf: {shape_name(key)} not swept; skipping "
+                  f"its scalar floor")
 
     # Multi-worker gates, per shape at or above the 256^3 volume. Smaller
     # products are dominated by fan-out overhead and are not gated.

@@ -34,7 +34,8 @@ JSONL_KEYS = {
     "rollbacks", "nan_batches", "alsh_dense_fallbacks",
     "gemm_flops", "gemm_flops_realized", "sparse_flops",
     "gemm_parallel_dispatches", "gemm_serial_dispatches",
-    "gemm_pack_b_panels", "gemm_pack_a_panels", "gemm_block_tasks",
+    "gemm_pack_b_panels", "gemm_inplace_b_panels", "gemm_pack_a_panels",
+    "gemm_block_tasks",
     "drift_score", "drift_trips", "lifecycle_promotions",
     "lifecycle_rollbacks", "lifecycle_diverged",
     "rss_bytes",

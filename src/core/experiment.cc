@@ -212,7 +212,7 @@ StatusOr<ExperimentResult> RunExperiment(const MlpConfig& net_config,
     double rebuild = 0.0, parallel = 0.0;
     uint64_t gemm_flops = 0, gemm_flops_realized = 0, sparse_flops = 0;
     uint64_t gemm_parallel = 0, gemm_serial = 0;
-    uint64_t pack_b = 0, pack_a = 0, block_tasks = 0;
+    uint64_t pack_b = 0, inplace_b = 0, pack_a = 0, block_tasks = 0;
   } prev;
   if (recorder != nullptr && TelemetryEnabled()) {
     // The FLOP counters are process-global; start from their current values
@@ -227,6 +227,8 @@ StatusOr<ExperimentResult> RunExperiment(const MlpConfig& net_config,
     prev.gemm_serial =
         registry.GetCounter("tensor.gemm.serial_dispatches").Value();
     prev.pack_b = registry.GetCounter("tensor.gemm.pack_b_panels").Value();
+    prev.inplace_b =
+        registry.GetCounter("tensor.gemm.inplace_b_panels").Value();
     prev.pack_a = registry.GetCounter("tensor.gemm.pack_a_panels").Value();
     prev.block_tasks =
         registry.GetCounter("tensor.gemm.block_tasks").Value();
@@ -405,6 +407,8 @@ StatusOr<ExperimentResult> RunExperiment(const MlpConfig& net_config,
       t.sparse_flops = sparse - prev.sparse_flops;
       const uint64_t pack_b =
           registry.GetCounter("tensor.gemm.pack_b_panels").Value();
+      const uint64_t inplace_b =
+          registry.GetCounter("tensor.gemm.inplace_b_panels").Value();
       const uint64_t pack_a =
           registry.GetCounter("tensor.gemm.pack_a_panels").Value();
       const uint64_t block_tasks =
@@ -412,6 +416,7 @@ StatusOr<ExperimentResult> RunExperiment(const MlpConfig& net_config,
       t.gemm_parallel_dispatches = gemm_parallel - prev.gemm_parallel;
       t.gemm_serial_dispatches = gemm_serial - prev.gemm_serial;
       t.gemm_pack_b_panels = pack_b - prev.pack_b;
+      t.gemm_inplace_b_panels = inplace_b - prev.inplace_b;
       t.gemm_pack_a_panels = pack_a - prev.pack_a;
       t.gemm_block_tasks = block_tasks - prev.block_tasks;
       prev.gemm_flops = gemm;
@@ -420,6 +425,7 @@ StatusOr<ExperimentResult> RunExperiment(const MlpConfig& net_config,
       prev.gemm_parallel = gemm_parallel;
       prev.gemm_serial = gemm_serial;
       prev.pack_b = pack_b;
+      prev.inplace_b = inplace_b;
       prev.pack_a = pack_a;
       prev.block_tasks = block_tasks;
       trainer->FillTelemetry(&t);

@@ -1,9 +1,25 @@
 #include <cmath>
 
 #include "src/optim/optimizer.h"
+#include "src/tensor/kernels.h"
 #include "src/util/check.h"
 
 namespace sampnn {
+
+namespace {
+
+// One contiguous range of the weight sweep; restrict-qualified for the same
+// vectorization reason as Adam's (adam.cc).
+void AdagradRange(size_t begin, size_t end, float lr, float eps,
+                  const float* __restrict__ g, float* __restrict__ acc,
+                  float* __restrict__ w) {
+  for (size_t i = begin; i < end; ++i) {
+    acc[i] += g[i] * g[i];
+    w[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+  }
+}
+
+}  // namespace
 
 AdagradOptimizer::AdagradOptimizer(float lr, float eps) : lr_(lr), eps_(eps) {
   SAMPNN_CHECK_GT(lr, 0.0f);
@@ -11,7 +27,7 @@ AdagradOptimizer::AdagradOptimizer(float lr, float eps) : lr_(lr), eps_(eps) {
 
 void AdagradOptimizer::Step(Mlp* net, const MlpGrads& grads) {
   SAMPNN_CHECK(net != nullptr);
-  SAMPNN_CHECK_EQ(grads.size(), net->num_layers());
+  CheckGradShapes(*net, grads);
   if (accum_.size() != grads.size()) accum_ = net->ZeroGrads();
 
   for (size_t k = 0; k < grads.size(); ++k) {
@@ -20,11 +36,9 @@ void AdagradOptimizer::Step(Mlp* net, const MlpGrads& grads) {
     float* w = layer.weights().data();
     float* acc = accum_[k].weights.data();
     const float* gd = g.weights.data();
-    const size_t n = layer.weights().size();
-    for (size_t i = 0; i < n; ++i) {
-      acc[i] += gd[i] * gd[i];
-      w[i] -= lr_ * gd[i] / (std::sqrt(acc[i]) + eps_);
-    }
+    ParallelRanges(g.weights.size(), [&](size_t begin, size_t end) {
+      AdagradRange(begin, end, lr_, eps_, gd, acc, w);
+    });
     auto bias = layer.bias();
     for (size_t j = 0; j < bias.size(); ++j) {
       float& ab = accum_[k].bias[j];

@@ -53,6 +53,11 @@ class Optimizer {
 Status SaveGradsShapedState(std::ostream& out, const MlpGrads& grads);
 Status LoadGradsShapedState(std::istream& in, const Mlp& net, MlpGrads* grads);
 
+/// Checks (fatally) that `grads` has one entry per layer of `net`, each
+/// shaped like its layer's weights and bias. Every Step() calls it before
+/// touching a buffer.
+void CheckGradShapes(const Mlp& net, const MlpGrads& grads);
+
 /// \brief Plain SGD with optional momentum.
 class SgdOptimizer : public Optimizer {
  public:

@@ -2,6 +2,7 @@
 
 #include "src/optim/optimizer.h"
 #include "src/tensor/kernels.h"
+#include "src/tensor/simd.h"
 #include "src/util/check.h"
 
 namespace sampnn {
@@ -15,7 +16,7 @@ SgdOptimizer::SgdOptimizer(float lr, float momentum)
 
 void SgdOptimizer::Step(Mlp* net, const MlpGrads& grads) {
   SAMPNN_CHECK(net != nullptr);
-  SAMPNN_CHECK_EQ(grads.size(), net->num_layers());
+  CheckGradShapes(*net, grads);
   const bool use_momentum = momentum_ > 0.0f;
   if (use_momentum && velocity_.size() != grads.size()) {
     velocity_ = net->ZeroGrads();
@@ -23,14 +24,18 @@ void SgdOptimizer::Step(Mlp* net, const MlpGrads& grads) {
   for (size_t k = 0; k < grads.size(); ++k) {
     Layer& layer = net->layer(k);
     const LayerGrads& g = grads[k];
-    SAMPNN_CHECK_EQ(g.weights.rows(), layer.weights().rows());
-    SAMPNN_CHECK_EQ(g.weights.cols(), layer.weights().cols());
     if (use_momentum) {
       LayerGrads& vel = velocity_[k];
-      // v = momentum * v + g; w -= lr * v
-      Scale(&vel.weights, momentum_);
-      Axpy(1.0f, g.weights, &vel.weights);
-      Axpy(-lr_, vel.weights, &layer.weights());
+      // v = momentum * v + g; w -= lr * v, the three passes per range.
+      float* w = layer.weights().data();
+      float* v = vel.weights.data();
+      const float* gd = g.weights.data();
+      ParallelRanges(g.weights.size(), [&](size_t begin, size_t end) {
+        const size_t len = end - begin;
+        simd::Scale(len, momentum_, v + begin);
+        simd::Axpy(len, 1.0f, gd + begin, v + begin);
+        simd::Axpy(len, -lr_, v + begin, w + begin);
+      });
       auto bias = layer.bias();
       for (size_t j = 0; j < bias.size(); ++j) {
         vel.bias[j] = momentum_ * vel.bias[j] + g.bias[j];

@@ -2,7 +2,8 @@
 // handle the MlpGrads-shaped buffers (momentum, Adam moments, Adagrad
 // accumulators); each optimizer's SaveState/LoadState composes them with
 // its scalar counters. Format is self-describing enough to validate
-// against the live network's shapes on load.
+// against the live network's shapes on load. CheckGradShapes guards the
+// same shapes on every Step().
 
 #include <cstring>
 
@@ -11,6 +12,16 @@
 #include "src/util/check.h"
 
 namespace sampnn {
+
+void CheckGradShapes(const Mlp& net, const MlpGrads& grads) {
+  SAMPNN_CHECK_EQ(grads.size(), net.num_layers());
+  for (size_t k = 0; k < grads.size(); ++k) {
+    const Layer& layer = net.layer(k);
+    SAMPNN_CHECK_EQ(grads[k].weights.rows(), layer.weights().rows());
+    SAMPNN_CHECK_EQ(grads[k].weights.cols(), layer.weights().cols());
+    SAMPNN_CHECK_EQ(grads[k].bias.size(), layer.bias().size());
+  }
+}
 
 Status SaveGradsShapedState(std::ostream& out, const MlpGrads& grads) {
   WriteU64(out, grads.size());

@@ -73,6 +73,7 @@ std::string EpochTelemetryToJson(const EpochTelemetry& rec) {
      << ",\"gemm_parallel_dispatches\":" << rec.gemm_parallel_dispatches
      << ",\"gemm_serial_dispatches\":" << rec.gemm_serial_dispatches
      << ",\"gemm_pack_b_panels\":" << rec.gemm_pack_b_panels
+     << ",\"gemm_inplace_b_panels\":" << rec.gemm_inplace_b_panels
      << ",\"gemm_pack_a_panels\":" << rec.gemm_pack_a_panels
      << ",\"gemm_block_tasks\":" << rec.gemm_block_tasks
      << ",\"drift_score\":" << rec.drift_score

@@ -124,11 +124,13 @@ struct EpochTelemetry {
   uint64_t gemm_serial_dispatches = 0;
 
   // Blocked-nest activity during this epoch (deltas): shared B panels
-  // packed (one per Kc x Nc block), thread-local A blocks packed (re-packs
-  // across workers included), and microtile-sweep grid tasks executed. The
-  // pack ratios expose blocking efficiency — e.g. a_panels / b_panels
-  // growing with worker count means the A-pack cache is missing.
+  // packed (one per Kc x Nc block), B panels a skinny product read in
+  // place instead, thread-local A blocks packed (re-packs across workers
+  // included), and microtile-sweep grid tasks executed. The pack ratios
+  // expose blocking efficiency — e.g. a_panels per B panel (packed plus
+  // in place) growing with worker count means the A-pack cache is missing.
   uint64_t gemm_pack_b_panels = 0;
+  uint64_t gemm_inplace_b_panels = 0;
   uint64_t gemm_pack_a_panels = 0;
   uint64_t gemm_block_tasks = 0;
 

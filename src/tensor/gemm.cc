@@ -12,6 +12,7 @@
 #include "src/telemetry/telemetry.h"
 #include "src/tensor/aligned_buffer.h"
 #include "src/tensor/kernel_config.h"
+#include "src/tensor/kernels.h"
 #include "src/tensor/packed_buffer_pool.h"
 #include "src/util/check.h"
 #include "src/util/deadline.h"
@@ -33,27 +34,62 @@ namespace {
 // grid depends on shape and blocking only, never on the worker count.
 constexpr size_t kColChunkTarget = 16;
 
+// Skinny products read row-major B where it lies instead of packing it:
+// with at most four row tiles, each B element is used at most 24 times,
+// too few to repay copying it (DESIGN.md §9).
+constexpr size_t kInPlaceMaxRows = 4 * kMR;
+
+// With more than one row tile, every B line of a tile is re-read once per
+// row tile. A B row stride that is a multiple of 4 KiB maps those lines
+// onto a few cache sets; on a 4-vCPU Xeon (48 KiB L1d, 2 MiB L2) 20-row
+// products lost to the packed path at 8 and 16 KiB strides, so such
+// products keep packing B. One row tile reads each line once and won at
+// every stride (DESIGN.md §9).
+constexpr size_t kAliasStrideFloats = 4096 / sizeof(float);
+
+// Column tiles the one-row kernel covers per call (1 x 64 at kNR = 16).
+constexpr size_t kRowKernelTiles = 4;
+
+// In-place B rows lie B's row stride apart (4000 B in a 1000-wide matrix),
+// a stride the hardware prefetchers do not follow, so the in-place 6 x 16
+// kernel prefetches the tile row this many k steps ahead. On a 4-vCPU Xeon
+// an 8-row forward of the paper's net went from 1.1 ms (2.4 ms in some
+// processes) to 0.77 ms (DESIGN.md §9). A prefetch never changes a result.
+constexpr size_t kPrefetchRows = 16;
+
 // ---------------------------------------------------------------------------
-// Microkernels: C_tile(kMR x kNR) += sum_p apanel[p][0..kMR) ⊗ bpanel[p][0..kNR).
-// Panels are packed (contiguous, aligned, zero-padded), so the k-loop is
-// two aligned B loads + kMR broadcasts + 2*kMR FMAs per step with no edge
-// branches; tails only affect the final store.
+// Microkernels: C_tile(kMR x kNR) += sum_p apanel[p][0..kMR) ⊗ B[p][0..kNR).
+// B rows are `ldb` floats apart: kNR in a packed panel, or B's own row
+// stride when a skinny product reads B in place. A is always packed
+// (aligned, zero-padded), so the k-loop is two B loads + kMR broadcasts +
+// 2*kMR FMAs per step with no edge branches; tails only affect the final
+// store. Every C element is one FMA chain from zero over the Kc block, then
+// one add into C, whichever kernel or B layout computes it.
 // ---------------------------------------------------------------------------
 
 #ifdef SAMPNN_GEMM_X86
 
+// kPrefetchB: B is read in place, so each k step prefetches the tile row
+// kPrefetchRows rows ahead (its first and last float: an unaligned row may
+// span two lines).
+template <bool kPrefetchB>
 __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
-    size_t kc, const float* ap, const float* bp, float* c, size_t ldc,
-    size_t mr, size_t nr) {
+    size_t kc, const float* ap, const float* bp, size_t ldb, float* c,
+    size_t ldc, size_t mr, size_t nr) {
   __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
   __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
   __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
   __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
   __m256 acc40 = _mm256_setzero_ps(), acc41 = _mm256_setzero_ps();
   __m256 acc50 = _mm256_setzero_ps(), acc51 = _mm256_setzero_ps();
-  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += kNR) {
-    const __m256 b0 = _mm256_load_ps(bp);
-    const __m256 b1 = _mm256_load_ps(bp + 8);
+  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += ldb) {
+    if constexpr (kPrefetchB) {
+      const float* ahead = bp + kPrefetchRows * ldb;
+      _mm_prefetch(reinterpret_cast<const char*>(ahead), _MM_HINT_T0);
+      _mm_prefetch(reinterpret_cast<const char*>(ahead + kNR - 1), _MM_HINT_T0);
+    }
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + 8);
     __m256 a = _mm256_broadcast_ss(ap + 0);
     acc00 = _mm256_fmadd_ps(a, b0, acc00);
     acc01 = _mm256_fmadd_ps(a, b1, acc01);
@@ -114,17 +150,49 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
   }
 }
 
+// One-row tile for m = 1 over in-place B: 1 x (kRowKernelTiles * kNR), one
+// broadcast and eight 8-wide FMAs per k step. Each lane is the same chain
+// as row 0 of the 6 x 16 tile, so the bits match it exactly.
+__attribute__((target("avx2,fma"))) void RowKernelAvx2(size_t kc,
+                                                       const float* ap,
+                                                       const float* bp,
+                                                       size_t ldb, float* c) {
+  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+  __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
+  __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
+  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += ldb) {
+    const __m256 a = _mm256_broadcast_ss(ap);
+    acc0 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp), acc0);
+    acc1 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 8), acc1);
+    acc2 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 16), acc2);
+    acc3 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 24), acc3);
+    acc4 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 32), acc4);
+    acc5 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 40), acc5);
+    acc6 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 48), acc6);
+    acc7 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 56), acc7);
+  }
+  _mm256_storeu_ps(c, _mm256_add_ps(_mm256_loadu_ps(c), acc0));
+  _mm256_storeu_ps(c + 8, _mm256_add_ps(_mm256_loadu_ps(c + 8), acc1));
+  _mm256_storeu_ps(c + 16, _mm256_add_ps(_mm256_loadu_ps(c + 16), acc2));
+  _mm256_storeu_ps(c + 24, _mm256_add_ps(_mm256_loadu_ps(c + 24), acc3));
+  _mm256_storeu_ps(c + 32, _mm256_add_ps(_mm256_loadu_ps(c + 32), acc4));
+  _mm256_storeu_ps(c + 40, _mm256_add_ps(_mm256_loadu_ps(c + 40), acc5));
+  _mm256_storeu_ps(c + 48, _mm256_add_ps(_mm256_loadu_ps(c + 48), acc6));
+  _mm256_storeu_ps(c + 56, _mm256_add_ps(_mm256_loadu_ps(c + 56), acc7));
+}
+
 #endif  // SAMPNN_GEMM_X86
 
-// Portable microkernel: same packed layout, same per-lane accumulation
+// Portable microkernel: same operand layout, same per-lane accumulation
 // order; auto-vectorizes at the baseline ISA (and never FMA-contracts under
 // the project's default flags, matching the scalar deterministic path's
 // rounding per lane).
 void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
-                         const float* __restrict__ bp, float* c, size_t ldc,
-                         size_t mr, size_t nr) {
+                         const float* __restrict__ bp, size_t ldb, float* c,
+                         size_t ldc, size_t mr, size_t nr) {
   float acc[kMR][kNR] = {};
-  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += kNR) {
+  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += ldb) {
     for (size_t r = 0; r < kMR; ++r) {
       const float a = ap[r];
       for (size_t j = 0; j < kNR; ++j) acc[r][j] += a * bp[j];
@@ -135,13 +203,15 @@ void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
   }
 }
 
-using MicroKernelFn = void (*)(size_t, const float*, const float*, float*,
-                               size_t, size_t, size_t);
+using MicroKernelFn = void (*)(size_t, const float*, const float*, size_t,
+                               float*, size_t, size_t, size_t);
+using RowKernelFn = void (*)(size_t, const float*, const float*, size_t,
+                             float*);
 
 MicroKernelFn PickMicroKernel() {
 #ifdef SAMPNN_GEMM_X86
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return MicroKernelAvx2;
+    return MicroKernelAvx2<false>;
   }
 #endif
   return MicroKernelPortable;
@@ -152,6 +222,26 @@ MicroKernelFn ActiveMicroKernel() {
   return fn;
 }
 
+// Full tiles of an in-place B: the AVX2 kernel with row prefetches, or the
+// portable kernel.
+MicroKernelFn ActiveInPlaceKernel() {
+#ifdef SAMPNN_GEMM_X86
+  if (ActiveMicroKernel() == MicroKernelAvx2<false>) {
+    return MicroKernelAvx2<true>;
+  }
+#endif
+  return ActiveMicroKernel();
+}
+
+// The one-row tile exists for the AVX2 kernel only; the portable path runs
+// m = 1 through its 6 x 16 tile.
+RowKernelFn ActiveRowKernel() {
+#ifdef SAMPNN_GEMM_X86
+  if (ActiveMicroKernel() == MicroKernelAvx2<false>) return RowKernelAvx2;
+#endif
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Packing. Panels are written tile-contiguous — B as [jr-tile][p][kNR],
 // A as [ir-tile][p][kMR] — so the microkernel streams both with unit
@@ -159,9 +249,9 @@ MicroKernelFn ActiveMicroKernel() {
 // microkernel edge-free and makes full-width loads on the last tile exact.
 // ---------------------------------------------------------------------------
 
-// Packs B column tiles [t0, t1) of the current Kc x Nc panel. Tile indices
-// are panel-absolute, so cooperative packing writes disjoint ranges of the
-// shared buffer.
+// Packs B column tiles [t0, t1) of the current Kc x Nc panel, tile t0 at
+// `out`. Cooperative packing hands each worker a disjoint tile range of
+// the shared buffer.
 void PackBTiles(const float* b, size_t b_rs, size_t b_cs, size_t pc,
                 size_t kc, size_t jc, size_t nc, size_t t0, size_t t1,
                 float* __restrict__ out) {
@@ -170,7 +260,7 @@ void PackBTiles(const float* b, size_t b_rs, size_t b_cs, size_t pc,
     const size_t jw = std::min(kNR, jc + nc - j0);
     for (size_t p = 0; p < kc; ++p) {
       const float* src = b + (pc + p) * b_rs + j0 * b_cs;
-      float* dst = out + (t * kc + p) * kNR;
+      float* dst = out + ((t - t0) * kc + p) * kNR;
       if (b_cs == 1) {
         for (size_t j = 0; j < jw; ++j) dst[j] = src[j];
       } else {
@@ -209,28 +299,37 @@ struct ApackTag {
 };
 thread_local ApackTag t_apack_tag;
 
+// Per-thread copy of an in-place product's partial last column tile, one
+// Kc block at a time.
+thread_local AlignedBuffer t_bedge;
+
 // Distinguishes concurrent/successive GEMM calls in the A-pack cache tags.
 std::atomic<uint64_t> g_call_serial{1};
 
 // Blocked-nest telemetry, charged once per dispatch on scope exit (also on
-// the cancellation early-outs): B panels packed, A blocks packed (across
-// all workers), and microtile-sweep tasks executed.
+// the cancellation early-outs): B panels packed, B panels read in place, A
+// blocks packed (across all workers), and microtile-sweep tasks executed
+// (one per Kc block with a packed B, one for all of K in place).
 struct BlockTally {
   explicit BlockTally(bool enabled) : on(enabled) {}
   ~BlockTally() {
     if (!on) return;
     static Counter& bp =
         MetricsRegistry::Get().GetCounter("tensor.gemm.pack_b_panels");
+    static Counter& bi =
+        MetricsRegistry::Get().GetCounter("tensor.gemm.inplace_b_panels");
     static Counter& ap =
         MetricsRegistry::Get().GetCounter("tensor.gemm.pack_a_panels");
     static Counter& bt =
         MetricsRegistry::Get().GetCounter("tensor.gemm.block_tasks");
     bp.Add(b_packs);
+    bi.Add(b_in_place);
     ap.Add(a_packs.load(std::memory_order_relaxed));
     bt.Add(tasks.load(std::memory_order_relaxed));
   }
   const bool on;
   uint64_t b_packs = 0;
+  uint64_t b_in_place = 0;
   std::atomic<uint64_t> a_packs{0};
   std::atomic<uint64_t> tasks{0};
 };
@@ -254,7 +353,7 @@ ThreadPool& PoolFor(size_t threads) {
 
 bool MicroKernelIsAvx2() {
 #ifdef SAMPNN_GEMM_X86
-  return ActiveMicroKernel() == MicroKernelAvx2;
+  return ActiveMicroKernel() == MicroKernelAvx2<false>;
 #else
   return false;
 #endif
@@ -272,7 +371,6 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
                         size_t ldc, size_t threads) {
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) return;  // C += 0
-  const MicroKernelFn micro = ActiveMicroKernel();
   // Serving-layer cancellation: the dispatching thread's context, if any,
   // is captured here and polled between panels and grid tasks (including
   // by the pool workers the tasks fan out to). A cancelled product leaves
@@ -299,30 +397,126 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
       g_call_serial.fetch_add(1, std::memory_order_relaxed);
   BlockTally tally(TelemetryEnabled());
 
-  // Shared B-panel buffer for the whole call, checked out of the pool —
+  // A skinny product with row-major B reads B's full column tiles where
+  // they lie; only a partial last tile is packed. The choice depends on the
+  // operands alone, and both layouts give the same bits.
+  const bool b_in_place =
+      b_cs == 1 && (m <= kMR || (m <= kInPlaceMaxRows &&
+                                 b_rs % kAliasStrideFloats != 0));
+  const MicroKernelFn micro = ActiveMicroKernel();
+  const MicroKernelFn in_place_micro = ActiveInPlaceKernel();
+  const RowKernelFn row_kernel =
+      m == 1 && b_in_place ? ActiveRowKernel() : nullptr;
+  // Shared B-panel buffer for a packed call, checked out of the pool —
   // written once per (jc, pc) block, read concurrently by every grid task.
-  // Hot-path GEMMs hit the freelist and allocate nothing.
-  const size_t b_panel_floats =
-      (std::min(n, nc_max) + kNR - 1) / kNR * kNR * kc_max;
-  PackedBufferPool::Handle b_handle =
-      PackedBufferPool::Global().Acquire(b_panel_floats);
+  // Hot-path GEMMs hit the freelist and allocate nothing; an in-place call
+  // takes no pool lock.
+  PackedBufferPool::Handle b_handle;
+  if (!b_in_place) {
+    b_handle = PackedBufferPool::Global().Acquire(
+        (std::min(n, nc_max) + kNR - 1) / kNR * kNR * kc_max);
+  }
   float* const bpack = b_handle.data();
-  // Per-thread A scratch requirement for this call's largest block.
-  const size_t a_pack_floats =
-      (std::min(m, mc_max) + kMR - 1) / kMR * kMR * kc_max;
+  // Per-thread A scratch for this call's largest block: one Kc block with
+  // a packed B; all of K in place, where each task walks every Kc block.
+  const size_t a_pack_floats = (std::min(m, mc_max) + kMR - 1) / kMR * kMR *
+                               (b_in_place ? k : kc_max);
+  // Packs rows [ic, ic + mc) x columns [pc, pc + kc) of A into this
+  // thread's scratch, unless it already holds them.
+  auto pack_a = [&](size_t ic, size_t mc, size_t pc, size_t kc) {
+    ApackTag& tag = t_apack_tag;
+    if (!tag.valid || tag.call != call_id || tag.pc != pc || tag.ic != ic) {
+      t_apack.GrowTo(a_pack_floats);
+      PackA(a, a_rs, a_cs, ic, mc, pc, kc, alpha, t_apack.data());
+      tag = {call_id, pc, ic, true};
+      if (tally.on) tally.a_packs.fetch_add(1, std::memory_order_relaxed);
+    }
+    return static_cast<const float*>(t_apack.data());
+  };
+  // Runs every grid task, on the pool when there is one. Pool workers tag
+  // themselves too, so a snapshot mid-product shows which threads are
+  // inside this request's grid tasks.
+  auto run_grid = [&](size_t tasks, const auto& task) {
+    if (pool != nullptr && tasks > 1) {
+      pool->ParallelFor(tasks, [&](size_t t) {
+        ScopedPhase block_phase("gemm_block",
+                                cancel != nullptr ? cancel->trace_id : 0);
+        task(t);
+      });
+    } else {
+      for (size_t t = 0; t < tasks; ++t) task(t);
+    }
+  };
 
   // Loop 5: B panel columns.
   for (size_t jc = 0; jc < n; jc += nc_max) {
+    if (cancel != nullptr && cancel->ShouldStop()) return;
     const size_t nc = std::min(nc_max, n - jc);
     const size_t nc_tiles = (nc + kNR - 1) / kNR;
     // Fixed-topology task grid over (Mc row blocks) x (column chunks):
     // shaped by the operands and blocking only, so every worker count
     // walks the same tasks and every C element keeps one writer.
-    const size_t jchunk_tiles =
-        std::max<size_t>(1, (nc_tiles + kColChunkTarget - 1) / kColChunkTarget);
+    size_t jchunk_tiles = (nc_tiles + kColChunkTarget - 1) / kColChunkTarget;
+    // A one-row product's chunks hold whole one-row-kernel calls.
+    if (row_kernel != nullptr) {
+      jchunk_tiles = (jchunk_tiles + kRowKernelTiles - 1) / kRowKernelTiles *
+                     kRowKernelTiles;
+    }
     const size_t jchunks = (nc_tiles + jchunk_tiles - 1) / jchunk_tiles;
     const size_t ic_blocks = (m + mc_max - 1) / mc_max;
     const size_t tasks = ic_blocks * jchunks;
+
+    if (b_in_place) {
+      // In place there is no shared panel to publish between Kc blocks, so
+      // the panel fans out once: each task takes its column tiles through
+      // every Kc block in ascending order, which adds the same block sums
+      // to each C element in the same order as the packed nest. The task
+      // that owns a partial last tile packs it, one Kc block at a time.
+      tally.b_in_place += (k + kc_max - 1) / kc_max;
+      run_grid(tasks, [&](size_t t) {
+        if (tally.on) tally.tasks.fetch_add(1, std::memory_order_relaxed);
+        const size_t ic = (t / jchunks) * mc_max;
+        const size_t mc = std::min(mc_max, m - ic);
+        const float* apack = pack_a(ic, mc, 0, k);
+        const size_t jt0 = (t % jchunks) * jchunk_tiles;
+        const size_t jt1 = std::min(nc_tiles, jt0 + jchunk_tiles);
+        for (size_t jt = jt0; jt < jt1;) {
+          const size_t jr = jt * kNR;
+          const size_t nr = std::min(kNR, nc - jr);
+          float* ct = c + ic * ldc + jc + jr;
+          const bool one_row = row_kernel != nullptr &&
+                               jt + kRowKernelTiles <= jt1 &&
+                               jr + kRowKernelTiles * kNR <= nc;
+          for (size_t pc = 0; pc < k; pc += kc_max) {
+            if (cancel != nullptr && cancel->ShouldStop()) return;
+            const size_t kc = std::min(kc_max, k - pc);
+            const float* ap = apack + pc * kMR;
+            const float* bp = b + pc * b_rs + jc + jr;
+            if (one_row) {
+              row_kernel(kc, ap, bp, b_rs, ct);
+              continue;
+            }
+            size_t ldb = b_rs;
+            MicroKernelFn kernel = in_place_micro;
+            if (nr < kNR) {
+              t_bedge.GrowTo(kNR * kc_max);
+              PackBTiles(b, b_rs, b_cs, pc, kc, jc, nc, jt, jt + 1,
+                         t_bedge.data());
+              bp = t_bedge.data();
+              ldb = kNR;
+              kernel = micro;
+            }
+            for (size_t ir = 0; ir < mc; ir += kMR) {
+              kernel(kc, ap + (ir / kMR) * k * kMR, bp, ldb, ct + ir * ldc,
+                     ldc, std::min(kMR, mc - ir), nr);
+            }
+          }
+          jt += one_row ? kRowKernelTiles : 1;
+        }
+      });
+      continue;
+    }
+
     // Loop 4: k blocks; one shared B pack per iteration.
     for (size_t pc = 0; pc < k; pc += kc_max) {
       if (cancel != nullptr && cancel->ShouldStop()) return;
@@ -333,8 +527,9 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
       // Submit publish the writes).
       if (pool != nullptr && nc_tiles >= 2 * workers) {
         pool->ParallelFor(workers, [&](size_t w) {
-          PackBTiles(b, b_rs, b_cs, pc, kc, jc, nc, nc_tiles * w / workers,
-                     nc_tiles * (w + 1) / workers, bpack);
+          const size_t t0 = nc_tiles * w / workers;
+          PackBTiles(b, b_rs, b_cs, pc, kc, jc, nc, t0,
+                     nc_tiles * (w + 1) / workers, bpack + t0 * kc * kNR);
         });
       } else {
         PackBTiles(b, b_rs, b_cs, pc, kc, jc, nc, 0, nc_tiles, bpack);
@@ -343,20 +538,12 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
 
       // Loops 3-1 as one grid task: pack (or reuse) the A block, then
       // sweep this chunk's microtiles.
-      auto run_task = [&](size_t t) {
+      run_grid(tasks, [&](size_t t) {
         if (cancel != nullptr && cancel->ShouldStop()) return;
         if (tally.on) tally.tasks.fetch_add(1, std::memory_order_relaxed);
         const size_t ic = (t / jchunks) * mc_max;
         const size_t mc = std::min(mc_max, m - ic);
-        ApackTag& tag = t_apack_tag;
-        if (!tag.valid || tag.call != call_id || tag.pc != pc ||
-            tag.ic != ic) {
-          t_apack.GrowTo(a_pack_floats);
-          PackA(a, a_rs, a_cs, ic, mc, pc, kc, alpha, t_apack.data());
-          tag = {call_id, pc, ic, true};
-          if (tally.on) tally.a_packs.fetch_add(1, std::memory_order_relaxed);
-        }
-        const float* apack = t_apack.data();
+        const float* apack = pack_a(ic, mc, pc, kc);
         const size_t jt0 = (t % jchunks) * jchunk_tiles;
         const size_t jt1 = std::min(nc_tiles, jt0 + jchunk_tiles);
         for (size_t jt = jt0; jt < jt1; ++jt) {
@@ -366,23 +553,38 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
           for (size_t ir = 0; ir < mc; ir += kMR) {
             const size_t mr = std::min(kMR, mc - ir);
             const float* ap = apack + (ir / kMR) * kc * kMR;
-            micro(kc, ap, bp, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr);
+            micro(kc, ap, bp, kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr,
+                  nr);
           }
         }
-      };
-      if (pool != nullptr && tasks > 1) {
-        // Pool workers tag themselves too, so a snapshot mid-product shows
-        // which threads are inside this request's grid tasks.
-        pool->ParallelFor(tasks, [&](size_t t) {
-          ScopedPhase block_phase("gemm_block",
-                                  cancel != nullptr ? cancel->trace_id : 0);
-          run_task(t);
-        });
-      } else {
-        for (size_t t = 0; t < tasks; ++t) run_task(t);
-      }
+      });
     }
   }
 }
 
 }  // namespace sampnn::gemm_internal
+
+namespace sampnn {
+
+void ParallelRanges(size_t n, const std::function<void(size_t, size_t)>& fn) {
+  // Boundaries fall on multiples of this many elements, so every element
+  // takes the same vector-body or scalar-tail path as in a one-range sweep.
+  constexpr size_t kAlign = 16;
+  const size_t workers =
+      DeterministicKernels() ? 1 : GemmEffectiveWorkers(GemmThreads());
+  const size_t ranges = std::min(workers, n / kParallelRangeGrain);
+  if (ranges <= 1) {
+    if (n != 0) fn(0, n);
+    return;
+  }
+  // Range r covers [bound(r), bound(r + 1)); n >= ranges * grain, so each
+  // holds at least one grain.
+  const size_t blocks = n / kAlign;
+  auto bound = [&](size_t r) {
+    return r == ranges ? n : blocks * r / ranges * kAlign;
+  };
+  gemm_internal::PoolFor(workers).ParallelFor(
+      ranges, [&](size_t r) { fn(bound(r), bound(r + 1)); });
+}
+
+}  // namespace sampnn

@@ -23,15 +23,24 @@
 //     loop 1  ir over Mc in steps of kMR  (microkernel)
 //
 // Mc/Kc/Nc derive from detected cache geometry, overridable via
-// SAMPNN_GEMM_{MC,KC,NC} (src/tensor/kernel_config.h). Both operands are
-// packed into 64-byte-aligned, zero-padded panels (alpha folded into the A
-// pack); edge tiles take the same packed path as interior tiles — the zero
-// padding keeps the microkernel branch-free, only the final store narrows.
+// SAMPNN_GEMM_{MC,KC,NC} (src/tensor/kernel_config.h). A is packed into
+// 64-byte-aligned, zero-padded panels (alpha folded into the A pack); edge
+// tiles take the same packed path as interior tiles — the zero padding
+// keeps the microkernel branch-free, only the final store narrows. B is
+// packed the same way, except in a skinny product with row-major B (one
+// row tile, or up to four when B's row stride is not a multiple of
+// 4 KiB): there the microkernel reads B's full column tiles in place,
+// prefetching the strided rows a few k steps ahead (a one-row product runs
+// on a 1 x 4*kNR tile instead), and only a partial last tile is packed.
+// Each C element is the same FMA chain either way, so the choice never
+// changes a bit.
 //
 // Parallel execution packs each Kc x Nc B panel once into a pooled shared
 // buffer (cooperatively, column tiles split across the workers), then
 // partitions a fixed 2-D grid of (Mc row block) x (column chunk) tasks
-// across the shared kernel pool. The grid shape depends only on the
+// across the shared kernel pool. In place there is no panel to share, so
+// the grid fans out once per Nc panel and each task walks every Kc block
+// of its columns in ascending order. The grid shape depends only on the
 // operand shape and blocking — never on the worker count — and every
 // output element has exactly one writer accumulating in a fixed k order,
 // so results are bitwise-identical for every thread count (including

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -57,6 +58,18 @@ void Scale(Matrix* m, float alpha);
 
 /// Sums each column of `m` into `out` (size cols). Used for bias gradients.
 void ColumnSums(const Matrix& m, std::span<float> out);
+
+/// Smallest range ParallelRanges hands to a worker.
+inline constexpr size_t kParallelRangeGrain = 64 * 1024;
+
+/// Runs fn(begin, end) over contiguous ranges that cover [0, n), on the
+/// GEMM's kernel pool: at most GemmEffectiveWorkers(GemmThreads()) ranges,
+/// each at least kParallelRangeGrain long, with boundaries on multiples of
+/// 16 elements. A sweep below two grains, or any sweep under
+/// DeterministicKernels(), runs inline as fn(0, n). For per-element sweeps
+/// (the dense optimizers), whose results then do not depend on the worker
+/// count.
+void ParallelRanges(size_t n, const std::function<void(size_t, size_t)>& fn);
 
 // ---------------------------------------------------------------------------
 // Sparse / active-set kernels (the sampling-based substitutes).

@@ -1,10 +1,12 @@
 #include "src/nn/mlp.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "src/nn/loss.h"
+#include "src/tensor/kernel_config.h"
 
 namespace sampnn {
 namespace {
@@ -84,6 +86,52 @@ TEST(MlpForwardTest, SampleMatchesBatchRow) {
     ASSERT_EQ(single.size(), 3u);
     for (size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(single[j], logits(r, j), 1e-4f);
+    }
+  }
+}
+
+// Serving relies on a row's logits not depending on the batch it rides in:
+// a one-row request must equal the same row of an offline Predict batch.
+// Batches up to 24 rows read W in place (one row on the 1 x 64 tile), taller
+// ones pack it; every batch must give the large batch's rows bit for bit,
+// at 1 and 4 workers. The widths (530, 70, 10) leave partial column tiles,
+// and fan-ins of 600 and 530 cross a Kc boundary at every derived blocking
+// (kc <= 512). Sending one-row products to VecMat, which sums all fan-in
+// terms in one chain, would break this.
+class MlpBatchInvarianceTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    SetGemmThreads(0);
+    SetGemmParallelMinFlops(0);
+    SetGemmOversubscribe(false);
+  }
+};
+
+TEST_F(MlpBatchInvarianceTest, ForwardRowsAreBitwiseIndependentOfBatchSize) {
+  MlpConfig cfg;
+  cfg.input_dim = 600;
+  cfg.hidden_dims = {530, 70};
+  cfg.output_dim = 10;
+  cfg.seed = 5;
+  auto net = std::move(Mlp::Create(cfg)).value();
+  Rng rng(6);
+  const Matrix x = Matrix::RandomGaussian(64, cfg.input_dim, rng);
+  // Every product runs on the kernel pool, oversubscribed on small hosts.
+  SetGemmParallelMinFlops(1);
+  SetGemmOversubscribe(true);
+  SetGemmThreads(1);
+  MlpWorkspace ws;
+  const Matrix want = net.Forward(x, &ws);
+  for (const size_t threads : {1, 4}) {
+    SetGemmThreads(threads);
+    for (const size_t batch : {1, 2, 5, 6, 7, 8, 20, 24, 25, 64}) {
+      Matrix xb(batch, x.cols());
+      std::memcpy(xb.data(), x.data(), xb.size() * sizeof(float));
+      const Matrix& got = net.Forward(xb, &ws);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "batch " << batch << ", " << threads << " workers";
     }
   }
 }

@@ -1,10 +1,16 @@
 #include "src/optim/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/nn/loss.h"
+#include "src/tensor/kernel_config.h"
 #include "src/util/rng.h"
 
 namespace sampnn {
@@ -119,6 +125,85 @@ TEST_P(OptimizerConvergenceTest, ReducesLossOnTinyProblem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerConvergenceTest,
+                         ::testing::Values("sgd", "sgd-momentum", "adam",
+                                           "adagrad"));
+
+// The weight sweeps run as contiguous ranges on the kernel pool. Each
+// element depends only on its own state, so several steps on a paper-sized
+// 784-1000-10 net must leave the same weights and the same SaveState bytes
+// at 1, 2 and 4 workers (oversubscribed on small hosts). The 1000 x 10
+// output layer is below one grain and runs inline.
+class OptimizerWorkerInvarianceTest
+    : public ::testing::TestWithParam<std::string> {
+ protected:
+  void TearDown() override {
+    SetGemmThreads(0);
+    SetGemmOversubscribe(false);
+  }
+};
+
+TEST_P(OptimizerWorkerInvarianceTest, StepsAreBitwiseEqualAcrossWorkers) {
+  MlpConfig cfg = MlpConfig::Uniform(784, 10, 1, 1000);
+  cfg.seed = 17;
+  const Mlp start = std::move(Mlp::Create(cfg)).value();
+  Rng rng(18);
+  std::vector<MlpGrads> steps(3, start.ZeroGrads());
+  for (MlpGrads& grads : steps) {
+    for (LayerGrads& g : grads) {
+      g.weights = Matrix::RandomGaussian(g.weights.rows(), g.weights.cols(),
+                                         rng, 0.0f, 0.1f);
+      for (float& b : g.bias) b = 0.1f * rng.NextGaussian();
+    }
+  }
+  auto run = [&](size_t workers, Mlp* net) {
+    SetGemmOversubscribe(true);
+    SetGemmThreads(workers);
+    auto opt = std::move(MakeOptimizer(GetParam(), 0.01f)).value();
+    for (const MlpGrads& grads : steps) opt->Step(net, grads);
+    std::ostringstream state;
+    EXPECT_TRUE(opt->SaveState(state).ok());
+    return state.str();
+  };
+  Mlp want = start.Clone();
+  const std::string want_state = run(1, &want);
+  for (const size_t workers : {2, 4}) {
+    Mlp got = start.Clone();
+    EXPECT_EQ(run(workers, &got), want_state) << workers << " workers";
+    for (size_t k = 0; k < got.num_layers(); ++k) {
+      const Matrix& gw = got.layer(k).weights();
+      const Matrix& ww = want.layer(k).weights();
+      EXPECT_EQ(std::memcmp(gw.data(), ww.data(), gw.size() * sizeof(float)),
+                0)
+          << "layer " << k << ", " << workers << " workers";
+      EXPECT_TRUE(std::equal(got.layer(k).bias().begin(),
+                             got.layer(k).bias().end(),
+                             want.layer(k).bias().begin()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerWorkerInvarianceTest,
+                         ::testing::Values("sgd", "sgd-momentum", "adam",
+                                           "adagrad"));
+
+// Every optimizer checks each gradient's shape against its layer before
+// reading it; a mis-shaped weight or bias gradient used to be read past its
+// end.
+class OptimizerDeathTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OptimizerDeathTest, MisShapedGradsAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Mlp net = TinyNet();
+  auto opt = std::move(MakeOptimizer(GetParam(), 0.1f)).value();
+  MlpGrads short_weights = net.ZeroGrads();
+  short_weights[1].weights = Matrix(1, 1);
+  EXPECT_DEATH(opt->Step(&net, short_weights), "check failed.*weights");
+  MlpGrads short_bias = net.ZeroGrads();
+  short_bias[0].bias.pop_back();
+  EXPECT_DEATH(opt->Step(&net, short_bias), "check failed.*bias");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerDeathTest,
                          ::testing::Values("sgd", "sgd-momentum", "adam",
                                            "adagrad"));
 

@@ -40,6 +40,8 @@ TEST(EpochTelemetryJsonTest, EmitsFlatSchemaWithAllFields) {
   rec.active_node_fraction = 0.05;
   rec.hash_rebuilds = 7;
   rec.gemm_flops = 12345;
+  rec.gemm_pack_b_panels = 11;
+  rec.gemm_inplace_b_panels = 22;
   const std::string json = EpochTelemetryToJson(rec);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -53,6 +55,8 @@ TEST(EpochTelemetryJsonTest, EmitsFlatSchemaWithAllFields) {
         "\"alsh_avg_bucket_occupancy\":", "\"alsh_max_bucket_occupancy\":",
         "\"alsh_nonempty_buckets\":", "\"mc_batch_samples\":",
         "\"mc_delta_samples\":", "\"gemm_flops\":12345", "\"sparse_flops\":",
+        "\"gemm_pack_b_panels\":11", "\"gemm_inplace_b_panels\":22",
+        "\"gemm_pack_a_panels\":", "\"gemm_block_tasks\":",
         "\"rss_bytes\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing: " << json;
   }

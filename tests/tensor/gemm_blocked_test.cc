@@ -1,19 +1,26 @@
 // The blocked five-loop GEMM nest: conformance of the Mc/Kc/Nc blocking
 // (edge tiles, awkward shapes, transposed operands) against the
 // double-precision oracle, bitwise thread-invariance of the fixed task
-// grid, concurrent dispatches over the shared packed-B pool (the TSan
-// surface the shared panel adds), cancellation mid-product, block-size
-// normalization, and the worker clamp.
+// grid, skinny products that read B in place matching packed ones bit for
+// bit, concurrent dispatches over the shared packed-B pool (the TSan
+// surface the shared panel adds), cancellation mid-product, the panel
+// counters, block-size normalization, the worker clamp, and the range
+// splitter the dense optimizers run on.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/telemetry/metrics_registry.h"
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/kernel_config.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/packed_buffer_pool.h"
@@ -39,6 +46,13 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The first `rows` rows of `x`.
+Matrix TopRows(const Matrix& x, size_t rows) {
+  Matrix out(rows, x.cols());
+  std::memcpy(out.data(), x.data(), rows * x.cols() * sizeof(float));
+  return out;
 }
 
 void ExpectClose(const Matrix& got, const Matrix& want, size_t k) {
@@ -159,6 +173,78 @@ TEST_F(GemmBlockedTest, McNcPartitioningDoesNotChangeBits) {
   EXPECT_TRUE(BitwiseEqual(base, run(600, 4096)));
 }
 
+// A product with at most 6 rows reads row-major B in place (one row on the
+// 1 x 64 tile), and so does one with at most 24 rows unless B's row stride
+// is a multiple of 4 KiB; a taller one packs B. Every element is the same
+// FMA chain over the same Kc blocks on both paths, so each skinny product
+// must equal the top rows of a tall one bit for bit. k = 600 crosses a Kc
+// boundary at every derived blocking (kc <= 512); the small blocking also
+// splits 20 rows into two Mc blocks. Widths: 1000 and 83 end in a partial
+// tile, 1024 is a 4 KiB row stride and 512 a 2 KiB one, 64 is one row
+// tile, 10 is only an edge tile. A one-row product sent to VecMat, which
+// sums all k terms in one chain, would fail here.
+TEST_F(GemmBlockedTest, SkinnyProductsEqualTopRowsOfTallProduct) {
+  SetDeterministicKernels(false);
+  SetGemmParallelMinFlops(1);
+  SetGemmOversubscribe(true);
+  constexpr size_t kTall = 31;
+  constexpr size_t k = 600;
+  Rng rng(8675309);
+  for (const GemmBlocking blk :
+       {GemmBlocking{0, 0, 0}, GemmBlocking{12, 128, 256}}) {
+    SetGemmBlockSizes(blk.mc, blk.kc, blk.nc);
+    for (const size_t n : {10, 64, 83, 512, 1000, 1024}) {
+      const Matrix a = Matrix::RandomGaussian(kTall, k, rng);
+      const Matrix b = Matrix::RandomGaussian(k, n, rng);
+      for (const size_t threads : {1, 4}) {
+        SetGemmThreads(threads);
+        Matrix tall(kTall, n);
+        Gemm(a, b, &tall);
+        for (size_t m = 1; m <= 24; ++m) {
+          Matrix skinny(m, n);
+          Gemm(TopRows(a, m), b, &skinny);
+          ASSERT_TRUE(BitwiseEqual(skinny, TopRows(tall, m)))
+              << "m=" << m << " n=" << n << " threads=" << threads
+              << " mc=" << blk.mc << " kc=" << blk.kc;
+        }
+      }
+    }
+  }
+}
+
+// tensor.gemm.pack_b_panels counts only panels that were packed; the
+// panels of a skinny product count as tensor.gemm.inplace_b_panels, and a
+// call that packs nothing (no partial edge tile) never touches the
+// packed-buffer pool.
+TEST_F(GemmBlockedTest, PanelCountersSplitPackedFromInPlace) {
+  const bool telemetry_was_on = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+  SetDeterministicKernels(false);
+  SetGemmParallelMinFlops(1);
+  SetGemmBlockSizes(12, 16, 32);
+  Counter& packed =
+      MetricsRegistry::Get().GetCounter("tensor.gemm.pack_b_panels");
+  Counter& in_place =
+      MetricsRegistry::Get().GetCounter("tensor.gemm.inplace_b_panels");
+  PackedBufferPool& pool = PackedBufferPool::Global();
+  Rng rng(77);
+  // k = 40 is three Kc blocks; n = 64 is two Nc panels: six panels a call.
+  const Matrix b = Matrix::RandomGaussian(40, 64, rng);
+  auto run = [&](size_t m) {
+    const uint64_t p0 = packed.Value(), i0 = in_place.Value();
+    const uint64_t checkouts0 = pool.Allocations() + pool.Reuses();
+    Matrix c(m, 64);
+    Gemm(Matrix::RandomGaussian(m, 40, rng), b, &c);
+    return std::array<uint64_t, 3>{
+        packed.Value() - p0, in_place.Value() - i0,
+        pool.Allocations() + pool.Reuses() - checkouts0};
+  };
+  EXPECT_EQ(run(20), (std::array<uint64_t, 3>{0, 6, 0}));
+  EXPECT_EQ(run(1), (std::array<uint64_t, 3>{0, 6, 0}));
+  EXPECT_EQ(run(25), (std::array<uint64_t, 3>{6, 0, 1}));
+  SetTelemetryEnabled(telemetry_was_on);
+}
+
 // Concurrent dispatches from independent caller threads, each fanning out
 // to its own multi-worker grid over a pool-checked-out shared B panel.
 // This is the shared-state surface the pool adds; run under TSan via the
@@ -251,7 +337,9 @@ TEST_F(GemmBlockedTest, PoolAcquireGrowsAndRecycles) {
 
 // A cancelled context stops the product between panels: C keeps its
 // beta-scaled value, the product is never added, and nothing crashes or
-// deadlocks when the cancel lands while the grid is mid-flight.
+// deadlocks when the cancel lands while the grid is mid-flight. The same
+// holds for a packed B (m = 60), an in-place one (m = 20) and the one-row
+// tile (m = 1).
 TEST_F(GemmBlockedTest, CancellationStopsTheNest) {
   SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
@@ -259,43 +347,47 @@ TEST_F(GemmBlockedTest, CancellationStopsTheNest) {
   SetGemmOversubscribe(true);
   SetGemmThreads(2);
   Rng rng(1618);
-  const size_t m = 60, k = 96, n = 64;
-  Matrix a = Matrix::RandomGaussian(m, k, rng);
-  Matrix b = Matrix::RandomGaussian(k, n, rng);
-  Matrix c0 = Matrix::RandomGaussian(m, n, rng);
+  for (const size_t m : {60, 20, 1}) {
+    SCOPED_TRACE(m);
+    const size_t k = 96, n = 64;
+    Matrix a = Matrix::RandomGaussian(m, k, rng);
+    Matrix b = Matrix::RandomGaussian(k, n, rng);
+    Matrix c0 = Matrix::RandomGaussian(m, n, rng);
 
-  // Pre-cancelled: beta is applied by the dispatch wrapper, then the nest
-  // early-outs before any microkernel writes.
-  CancelContext cancelled;
-  cancelled.token.Cancel();
-  {
-    ScopedKernelCancellation scope(&cancelled);
-    Matrix c = c0;
-    Gemm(a, b, &c, 1.0f, 0.5f);
-    Matrix want = c0;
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) want(i, j) *= 0.5f;
-    }
-    EXPECT_TRUE(BitwiseEqual(c, want));
-  }
-
-  // Mid-flight: cancel from another thread while products stream; the loop
-  // must terminate promptly and later (uncancelled) products are intact.
-  CancelContext live;
-  {
-    ScopedKernelCancellation scope(&live);
-    std::thread canceller([&] { live.token.Cancel(); });
-    for (int i = 0; i < 50 && !live.ShouldStop(); ++i) {
+    // Pre-cancelled: beta is applied by the dispatch wrapper, then the nest
+    // early-outs before any microkernel writes.
+    CancelContext cancelled;
+    cancelled.token.Cancel();
+    {
+      ScopedKernelCancellation scope(&cancelled);
       Matrix c = c0;
-      Gemm(a, b, &c, 1.0f, 0.0f);
+      Gemm(a, b, &c, 1.0f, 0.5f);
+      Matrix want = c0;
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < n; ++j) want(i, j) *= 0.5f;
+      }
+      EXPECT_TRUE(BitwiseEqual(c, want));
     }
-    canceller.join();
+
+    // Mid-flight: cancel from another thread while products stream; the
+    // loop must terminate promptly and later (uncancelled) products are
+    // intact.
+    CancelContext live;
+    {
+      ScopedKernelCancellation scope(&live);
+      std::thread canceller([&] { live.token.Cancel(); });
+      for (int i = 0; i < 50 && !live.ShouldStop(); ++i) {
+        Matrix c = c0;
+        Gemm(a, b, &c, 1.0f, 0.0f);
+      }
+      canceller.join();
+    }
+    Matrix c = c0;
+    Gemm(a, b, &c, 1.0f, 0.0f);
+    Matrix want(m, n);
+    reference::Gemm(a, b, &want, 1.0f, 0.0f);
+    ExpectClose(c, want, k);
   }
-  Matrix c = c0;
-  Gemm(a, b, &c, 1.0f, 0.0f);
-  Matrix want(m, n);
-  reference::Gemm(a, b, &want, 1.0f, 0.0f);
-  ExpectClose(c, want, k);
 }
 
 TEST_F(GemmBlockedTest, BlockSizeOverridesAreNormalized) {
@@ -333,6 +425,75 @@ TEST_F(GemmBlockedTest, EffectiveWorkersClampToHardware) {
   EXPECT_EQ(GemmEffectiveWorkers(hw * 4), hw * 4);
   SetGemmOversubscribe(false);
   EXPECT_EQ(GemmEffectiveWorkers(hw * 4), hw);
+}
+
+// The dense optimizers' sweeps: contiguous ranges that cover [0, n) once,
+// start on multiples of 16, hold at least one grain each, and number at
+// most the effective worker count. A sweep below two grains runs inline.
+TEST_F(GemmBlockedTest, ParallelRangesSplitsOnGrainAndAlignment) {
+  SetGemmOversubscribe(true);
+  SetGemmThreads(4);
+  struct Range {
+    size_t begin, end;
+  };
+  auto split = [](size_t n, std::vector<Range>* ranges, bool* inline_only) {
+    std::mutex mu;
+    const std::thread::id caller = std::this_thread::get_id();
+    *inline_only = true;
+    ParallelRanges(n, [&](size_t begin, size_t end) {
+      std::lock_guard<std::mutex> lock(mu);
+      ranges->push_back({begin, end});
+      if (std::this_thread::get_id() != caller) *inline_only = false;
+    });
+    std::sort(ranges->begin(), ranges->end(),
+              [](const Range& x, const Range& y) { return x.begin < y.begin; });
+  };
+
+  for (const size_t n : {size_t{0}, size_t{1000}, kParallelRangeGrain - 1,
+                         2 * kParallelRangeGrain - 1}) {
+    std::vector<Range> ranges;
+    bool inline_only = false;
+    split(n, &ranges, &inline_only);
+    EXPECT_TRUE(inline_only) << n;
+    if (n == 0) {
+      EXPECT_TRUE(ranges.empty());
+    } else {
+      ASSERT_EQ(ranges.size(), 1u) << n;
+      EXPECT_EQ(ranges[0].begin, 0u);
+      EXPECT_EQ(ranges[0].end, n);
+    }
+  }
+
+  // 784 x 1000 (a paper layer) and an odd length just past three grains.
+  for (const size_t n : {size_t{784000}, 3 * kParallelRangeGrain + 5}) {
+    std::vector<Range> ranges;
+    bool inline_only = false;
+    split(n, &ranges, &inline_only);
+    ASSERT_EQ(ranges.size(), std::min<size_t>(4, n / kParallelRangeGrain));
+    EXPECT_FALSE(inline_only);
+    size_t next = 0;
+    for (const Range& r : ranges) {
+      EXPECT_EQ(r.begin, next);
+      EXPECT_EQ(r.begin % 16, 0u);
+      EXPECT_GE(r.end - r.begin, kParallelRangeGrain);
+      next = r.end;
+    }
+    EXPECT_EQ(next, n);
+  }
+
+  // One worker, or the deterministic kernels, never fan out.
+  SetGemmThreads(1);
+  std::vector<Range> ranges;
+  bool inline_only = false;
+  split(784000, &ranges, &inline_only);
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(ranges.size(), 1u);
+  SetGemmThreads(4);
+  SetDeterministicKernels(true);
+  ranges.clear();
+  split(784000, &ranges, &inline_only);
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(ranges.size(), 1u);
 }
 
 TEST_F(GemmBlockedTest, CacheGeometryDetectionIsSane) {
