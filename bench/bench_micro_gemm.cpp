@@ -7,9 +7,10 @@
 //   --sweep    packed-vs-scalar GFLOP/s sweep across thread counts
 //              (1/2/4/hardware max), written as JSON for
 //              scripts/check_gemm_perf.py and the CI perf-smoke job.
-//              Flags: --shapes=256,1024,64x1024x1024  (square sizes or
-//                     MxKxN triples)  --threads=1,2,4
-//                     --out=results/BENCH_gemm.json
+//              Flags: --shapes=256,1024,64x1024x1024,tA:784x20x1000
+//                     (square sizes or MxKxN triples of C = op(A) op(B);
+//                     a tA: or tB: prefix times GemmTransA or GemmTransB)
+//                     --threads=1,2,4  --out=results/BENCH_gemm.json
 //              The JSON records the active Mc/Kc/Nc blocking and, per
 //              packed record, both the requested thread count and the
 //              clamped effective worker count (GemmEffectiveWorkers).
@@ -144,7 +145,12 @@ BENCHMARK(BM_VecMatCols)
 // --sweep mode: packed vs seed-scalar GFLOP/s across shapes x thread counts.
 // ---------------------------------------------------------------------------
 
+// One swept product C(m x n) = op(A)(m x k) * op(B)(k x n). `op` names the
+// call and its record: "gemm" (Gemm), "gemm_trans_a" (GemmTransA, the
+// weight gradient a^T * delta, A stored k x m) or "gemm_trans_b"
+// (GemmTransB, delta * W^T, B stored n x k).
 struct SweepShapeSpec {
+  std::string op;
   size_t m, k, n;
 };
 
@@ -186,30 +192,43 @@ std::vector<size_t> DefaultThreadCounts() {
 void SweepShape(const SweepShapeSpec& s, const std::vector<size_t>& threads,
                 std::vector<SweepRecord>* out) {
   Rng rng(20250806);
-  Matrix a = Matrix::RandomGaussian(s.m, s.k, rng);
-  Matrix b = Matrix::RandomGaussian(s.k, s.n, rng);
+  const bool trans_a = s.op == "gemm_trans_a";
+  const bool trans_b = s.op == "gemm_trans_b";
+  Matrix a = trans_a ? Matrix::RandomGaussian(s.k, s.m, rng)
+                     : Matrix::RandomGaussian(s.m, s.k, rng);
+  Matrix b = trans_b ? Matrix::RandomGaussian(s.n, s.k, rng)
+                     : Matrix::RandomGaussian(s.k, s.n, rng);
   Matrix c(s.m, s.n);
+  auto product = [&] {
+    if (trans_a) {
+      GemmTransA(a, b, &c, 1.0f, 0.0f);
+    } else if (trans_b) {
+      GemmTransB(a, b, &c, 1.0f, 0.0f);
+    } else {
+      Gemm(a, b, &c, 1.0f, 0.0f);
+    }
+  };
   const uint64_t flops = uint64_t{2} * s.m * s.k * s.n;
   char shape[64];
-  std::snprintf(shape, sizeof(shape), "%zux%zux%zu", s.m, s.k, s.n);
+  std::snprintf(shape, sizeof(shape), "%s%zux%zux%zu",
+                trans_a ? "tA:" : trans_b ? "tB:" : "", s.m, s.k, s.n);
 
-  // Seed baseline: the deterministic path is the seed's serial scalar
-  // blocked loop, unchanged ordering.
+  // Seed baseline: the deterministic path is the call's own seed serial
+  // scalar loop, unchanged ordering.
   SetDeterministicKernels(true);
-  const double scalar =
-      MeasureGflops(flops, [&] { Gemm(a, b, &c, 1.0f, 0.0f); });
-  out->push_back({"gemm", s.m, s.k, s.n, 1, 1, "scalar_seed", scalar});
-  std::printf("  %-16s scalar_seed            %8.2f GFLOP/s\n", shape, scalar);
+  const double scalar = MeasureGflops(flops, product);
+  out->push_back({s.op, s.m, s.k, s.n, 1, 1, "scalar_seed", scalar});
+  std::printf("  %-18s scalar_seed            %8.2f GFLOP/s\n", shape,
+              scalar);
 
   SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);  // always take the requested-thread path
   for (size_t t : threads) {
     SetGemmThreads(t);
     const size_t workers = GemmEffectiveWorkers(t);
-    const double packed =
-        MeasureGflops(flops, [&] { Gemm(a, b, &c, 1.0f, 0.0f); });
-    out->push_back({"gemm", s.m, s.k, s.n, t, workers, "packed", packed});
-    std::printf("  %-16s packed  %2zut (eff %2zu)  %8.2f GFLOP/s  (%.2fx)\n",
+    const double packed = MeasureGflops(flops, product);
+    out->push_back({s.op, s.m, s.k, s.n, t, workers, "packed", packed});
+    std::printf("  %-18s packed  %2zut (eff %2zu)  %8.2f GFLOP/s  (%.2fx)\n",
                 shape, t, workers, packed, packed / scalar);
   }
   SetGemmThreads(0);
@@ -230,19 +249,29 @@ std::vector<size_t> ParseSizeList(const std::string& list) {
 
 // A shape is either a square size ("512") or an MxKxN triple
 // ("64x1024x1024") — the latter covers the non-square MLP products
-// (batch x fan-in times fan-in x fan-out and its transposes).
-SweepShapeSpec ParseShape(const std::string& spec) {
+// (batch x fan-in times fan-in x fan-out). A "tA:" or "tB:" prefix sweeps
+// the backward products instead: "tA:1000x20x1000" is the weight gradient
+// a^T * delta at batch 20, "tB:20x1000x1000" is delta * W^T.
+SweepShapeSpec ParseShape(std::string spec) {
+  std::string op = "gemm";
+  if (spec.rfind("tA:", 0) == 0) {
+    op = "gemm_trans_a";
+  } else if (spec.rfind("tB:", 0) == 0) {
+    op = "gemm_trans_b";
+  }
+  if (op != "gemm") spec = spec.substr(3);
   const size_t x1 = spec.find('x');
   if (x1 == std::string::npos) {
     const size_t s = std::stoul(spec);
-    return {s, s, s};
+    return {op, s, s, s};
   }
   const size_t x2 = spec.find('x', x1 + 1);
   if (x2 == std::string::npos) {
-    std::fprintf(stderr, "bad shape '%s' (want S or MxKxN)\n", spec.c_str());
+    std::fprintf(stderr, "bad shape '%s' (want [tA:|tB:]S or MxKxN)\n",
+                 spec.c_str());
     std::exit(1);
   }
-  return {std::stoul(spec.substr(0, x1)),
+  return {op, std::stoul(spec.substr(0, x1)),
           std::stoul(spec.substr(x1 + 1, x2 - x1 - 1)),
           std::stoul(spec.substr(x2 + 1))};
 }
@@ -250,12 +279,17 @@ SweepShapeSpec ParseShape(const std::string& spec) {
 int RunSweep(const std::vector<std::string>& args) {
   // Defaults cover the cache-blocking regimes (L2-resident 256, streaming
   // 512/1024), the tall/flat MLP shapes with one Mc block or one column
-  // chunk dimension dominating, and the paper's skinny layer products at
-  // 1, 8 and 20 rows, which read B in place.
+  // chunk dimension dominating, the paper's skinny layer products at 1, 8
+  // and 20 rows, which read B in place, and its backward products: the
+  // batch-20 weight gradients and delta * W^T at batch 20 and 1.
   std::vector<SweepShapeSpec> shapes = {
-      {256, 256, 256},    {512, 512, 512},   {1024, 1024, 1024},
-      {64, 1024, 1024},   {1024, 1024, 64},  {1, 1000, 1000},
-      {8, 1000, 1000},    {20, 784, 1000},   {20, 1000, 1000}};
+      {"gemm", 256, 256, 256},         {"gemm", 512, 512, 512},
+      {"gemm", 1024, 1024, 1024},      {"gemm", 64, 1024, 1024},
+      {"gemm", 1024, 1024, 64},        {"gemm", 1, 1000, 1000},
+      {"gemm", 8, 1000, 1000},         {"gemm", 20, 784, 1000},
+      {"gemm", 20, 1000, 1000},        {"gemm_trans_a", 784, 20, 1000},
+      {"gemm_trans_a", 1000, 20, 1000}, {"gemm_trans_b", 20, 1000, 1000},
+      {"gemm_trans_b", 1, 1000, 1000}};
   std::vector<size_t> threads = DefaultThreadCounts();
   std::string out_path = "results/BENCH_gemm.json";
   for (const auto& arg : args) {

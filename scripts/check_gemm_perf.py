@@ -6,12 +6,17 @@ Usage:
       [--mt-tolerance T] [--scaling-floor S] [--large-shape N]
       [--large-floor F]
 
-Reads the JSON the `bench_micro_gemm --sweep` mode writes and enforces:
+Reads the JSON the `bench_micro_gemm --sweep` mode writes and enforces the
+gates below. Records are keyed by (op, shape): `gemm` (Gemm), and the
+backward products `gemm_trans_a` (GemmTransA, swept as tA:MxKxN) and
+`gemm_trans_b` (GemmTransB, tB:MxKxN), each against its own seed scalar
+loop.
 
-  1. packed/scalar ratio: at the gate shape (default 512^3), and at each
+  1. packed/scalar ratio: at the gate shape (default 512^3 Gemm), at each
      of the paper's skinny layer products (SKINNY_SHAPES) the sweep
-     covers, the single-thread GEMM must be at least --min-ratio times the
-     seed scalar loop (default 1.0: "never slower than the code it
+     covers, and at every backward-product shape it covers, the
+     single-thread product must be at least --min-ratio times its seed
+     scalar loop (default 1.0: "never slower than the code it
      replaced").
   2. multi-worker never slower (HARD failure): at every swept shape with at
      least 256^3 flops volume, the best run at every effective worker count
@@ -23,7 +28,7 @@ Reads the JSON the `bench_micro_gemm --sweep` mode writes and enforces:
      (1 - --scaling-floor): best(w) >= scaling_floor * best(w/2), default
      0.9, for every swept shape at or above the 256^3 volume.
   4. large-shape cache floor: the --large-shape (default 1024) single-thread
-     packed run must reach --large-floor (default 0.8) of the gate shape's
+     packed Gemm must reach --large-floor (default 0.8) of the gate shape's
      single-thread packed throughput — the blocked nest must not fall off a
      cache cliff once operands exceed L2.
 
@@ -39,6 +44,9 @@ import sys
 SKINNY_SHAPES = ((1, 1000, 1000), (8, 1000, 1000), (20, 784, 1000),
                  (20, 1000, 1000))
 
+# Swept ops and the shape prefix bench_micro_gemm --shapes takes for each.
+OP_PREFIX = {"gemm": "", "gemm_trans_a": "tA:", "gemm_trans_b": "tB:"}
+
 
 def fail(msg: str) -> None:
     print(f"check_gemm_perf: FAIL: {msg}", file=sys.stderr)
@@ -46,8 +54,9 @@ def fail(msg: str) -> None:
 
 
 def shape_name(key) -> str:
-    m, k, n = key
-    return f"{m}^3" if m == k == n else f"{m}x{k}x{n}"
+    op, m, k, n = key
+    dims = f"{m}^3" if m == k == n else f"{m}x{k}x{n}"
+    return OP_PREFIX[op] + dims
 
 
 def main() -> None:
@@ -80,15 +89,15 @@ def main() -> None:
     if not isinstance(results, list) or not results:
         fail(f"{args.bench_json}: missing or empty results array")
 
-    # Index records: scalar baselines and packed runs per (m,k,n).
-    scalar = {}       # (m,k,n) -> gflops
-    packed = {}       # (m,k,n) -> {workers -> best gflops}
+    # Index records: scalar baselines and packed runs per (op,m,k,n).
+    scalar = {}       # (op,m,k,n) -> gflops
+    packed = {}       # (op,m,k,n) -> {workers -> best gflops}
     for rec in results:
-        if rec.get("op") != "gemm":
+        if rec.get("op") not in OP_PREFIX:
             continue
-        key = (rec.get("m"), rec.get("k"), rec.get("n"))
+        key = (rec["op"], rec.get("m"), rec.get("k"), rec.get("n"))
         gf = rec.get("gflops")
-        if not all(isinstance(v, int) for v in key) or \
+        if not all(isinstance(v, int) for v in key[1:]) or \
                 not isinstance(gf, (int, float)):
             continue
         if rec.get("variant") == "scalar_seed":
@@ -118,13 +127,14 @@ def main() -> None:
                  f"{args.min_ratio:.2f}x floor at {shape_name(key)}")
         return packed1
 
-    gate = (args.shape, args.shape, args.shape)
+    gate = ("gemm", args.shape, args.shape, args.shape)
     if gate not in scalar:
         fail(f"no scalar_seed record at shape {args.shape}")
     if gate not in packed or 1 not in packed[gate]:
         fail(f"no packed 1-worker record at shape {args.shape}")
     packed1 = gate_vs_scalar(gate)
-    for key in SKINNY_SHAPES:
+    backward = sorted(key for key in scalar if key[0] != "gemm")
+    for key in [("gemm",) + shape for shape in SKINNY_SHAPES] + backward:
         if key in scalar and 1 in packed.get(key, {}):
             gate_vs_scalar(key)
         else:
@@ -135,7 +145,7 @@ def main() -> None:
     # products are dominated by fan-out overhead and are not gated.
     min_volume = 256 ** 3
     for key, by_w in sorted(packed.items()):
-        m, k, n = key
+        _, m, k, n = key
         if m * k * n < min_volume or 1 not in by_w:
             continue
         base = by_w[1]
@@ -162,7 +172,7 @@ def main() -> None:
               f"({by_w[best_w] / base:.2f}x 1-worker)")
 
     # Cache-cliff floor: large single-thread throughput must hold up.
-    large = (args.large_shape, args.large_shape, args.large_shape)
+    large = ("gemm", args.large_shape, args.large_shape, args.large_shape)
     if large in packed and 1 in packed[large]:
         large1 = packed[large][1]
         frac = large1 / packed1

@@ -34,10 +34,11 @@ namespace {
 // grid depends on shape and blocking only, never on the worker count.
 constexpr size_t kColChunkTarget = 16;
 
-// Skinny products read row-major B where it lies instead of packing it:
-// with at most four row tiles, each B element is used at most 24 times,
-// too few to repay copying it (DESIGN.md §9).
-constexpr size_t kInPlaceMaxRows = 4 * kMR;
+// Skinny products share no packed B panel: with at most four row tiles,
+// each B element is used at most 24 times, too few to repay copying it
+// into a panel every task reads, so each task reads its B tiles in place
+// or packs them itself (DESIGN.md §9).
+constexpr size_t kSkinnyMaxRows = 4 * kMR;
 
 // With more than one row tile, every B line of a tile is re-read once per
 // row tile. A B row stride that is a multiple of 4 KiB maps those lines
@@ -64,10 +65,19 @@ constexpr size_t kPrefetchRows = 16;
 // (aligned, zero-padded), so the k-loop is two B loads + kMR broadcasts +
 // 2*kMR FMAs per step with no edge branches; tails only affect the final
 // store. Every C element is one FMA chain from zero over the Kc block, then
-// one add into C, whichever kernel or B layout computes it.
+// one add into C, whichever kernel or B layout computes it. With
+// `overwrite` (the first Kc block of a product that discards C's old
+// contents) that add is to +0 instead of to C, so C is never read: the
+// same bits a zeroed C gives, -0 sums and NaN garbage included.
 // ---------------------------------------------------------------------------
 
 #ifdef SAMPNN_GEMM_X86
+
+// The value a block sum is added to: +0 on an overwriting block, else C.
+__attribute__((target("avx2"))) inline __m256 CBase(const float* c,
+                                                    bool overwrite) {
+  return overwrite ? _mm256_setzero_ps() : _mm256_loadu_ps(c);
+}
 
 // kPrefetchB: B is read in place, so each k step prefetches the tile row
 // kPrefetchRows rows ahead (its first and last float: an unaligned row may
@@ -75,7 +85,7 @@ constexpr size_t kPrefetchRows = 16;
 template <bool kPrefetchB>
 __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
     size_t kc, const float* ap, const float* bp, size_t ldb, float* c,
-    size_t ldc, size_t mr, size_t nr) {
+    size_t ldc, size_t mr, size_t nr, bool overwrite) {
   __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
   __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
   __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
@@ -111,23 +121,23 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
   }
   if (mr == kMR && nr == kNR) {
     float* cr = c;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc00));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc01));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc00));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc01));
     cr += ldc;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc10));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc11));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc10));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc11));
     cr += ldc;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc20));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc21));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc20));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc21));
     cr += ldc;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc30));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc31));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc30));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc31));
     cr += ldc;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc40));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc41));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc40));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc41));
     cr += ldc;
-    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc50));
-    _mm256_storeu_ps(cr + 8, _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc51));
+    _mm256_storeu_ps(cr, _mm256_add_ps(CBase(cr, overwrite), acc50));
+    _mm256_storeu_ps(cr + 8, _mm256_add_ps(CBase(cr + 8, overwrite), acc51));
     return;
   }
   // Edge tile: spill the full register tile and add the live mr x nr
@@ -146,7 +156,9 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
   _mm256_store_ps(tmp + 5 * kNR, acc50);
   _mm256_store_ps(tmp + 5 * kNR + 8, acc51);
   for (size_t r = 0; r < mr; ++r) {
-    for (size_t j = 0; j < nr; ++j) c[r * ldc + j] += tmp[r * kNR + j];
+    for (size_t j = 0; j < nr; ++j) {
+      c[r * ldc + j] = (overwrite ? 0.0f : c[r * ldc + j]) + tmp[r * kNR + j];
+    }
   }
 }
 
@@ -156,7 +168,8 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
 __attribute__((target("avx2,fma"))) void RowKernelAvx2(size_t kc,
                                                        const float* ap,
                                                        const float* bp,
-                                                       size_t ldb, float* c) {
+                                                       size_t ldb, float* c,
+                                                       bool overwrite) {
   __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
   __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
   __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
@@ -172,14 +185,14 @@ __attribute__((target("avx2,fma"))) void RowKernelAvx2(size_t kc,
     acc6 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 48), acc6);
     acc7 = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp + 56), acc7);
   }
-  _mm256_storeu_ps(c, _mm256_add_ps(_mm256_loadu_ps(c), acc0));
-  _mm256_storeu_ps(c + 8, _mm256_add_ps(_mm256_loadu_ps(c + 8), acc1));
-  _mm256_storeu_ps(c + 16, _mm256_add_ps(_mm256_loadu_ps(c + 16), acc2));
-  _mm256_storeu_ps(c + 24, _mm256_add_ps(_mm256_loadu_ps(c + 24), acc3));
-  _mm256_storeu_ps(c + 32, _mm256_add_ps(_mm256_loadu_ps(c + 32), acc4));
-  _mm256_storeu_ps(c + 40, _mm256_add_ps(_mm256_loadu_ps(c + 40), acc5));
-  _mm256_storeu_ps(c + 48, _mm256_add_ps(_mm256_loadu_ps(c + 48), acc6));
-  _mm256_storeu_ps(c + 56, _mm256_add_ps(_mm256_loadu_ps(c + 56), acc7));
+  _mm256_storeu_ps(c, _mm256_add_ps(CBase(c, overwrite), acc0));
+  _mm256_storeu_ps(c + 8, _mm256_add_ps(CBase(c + 8, overwrite), acc1));
+  _mm256_storeu_ps(c + 16, _mm256_add_ps(CBase(c + 16, overwrite), acc2));
+  _mm256_storeu_ps(c + 24, _mm256_add_ps(CBase(c + 24, overwrite), acc3));
+  _mm256_storeu_ps(c + 32, _mm256_add_ps(CBase(c + 32, overwrite), acc4));
+  _mm256_storeu_ps(c + 40, _mm256_add_ps(CBase(c + 40, overwrite), acc5));
+  _mm256_storeu_ps(c + 48, _mm256_add_ps(CBase(c + 48, overwrite), acc6));
+  _mm256_storeu_ps(c + 56, _mm256_add_ps(CBase(c + 56, overwrite), acc7));
 }
 
 #endif  // SAMPNN_GEMM_X86
@@ -190,7 +203,7 @@ __attribute__((target("avx2,fma"))) void RowKernelAvx2(size_t kc,
 // rounding per lane).
 void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
                          const float* __restrict__ bp, size_t ldb, float* c,
-                         size_t ldc, size_t mr, size_t nr) {
+                         size_t ldc, size_t mr, size_t nr, bool overwrite) {
   float acc[kMR][kNR] = {};
   for (size_t p = 0; p < kc; ++p, ap += kMR, bp += ldb) {
     for (size_t r = 0; r < kMR; ++r) {
@@ -199,14 +212,16 @@ void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
     }
   }
   for (size_t r = 0; r < mr; ++r) {
-    for (size_t j = 0; j < nr; ++j) c[r * ldc + j] += acc[r][j];
+    for (size_t j = 0; j < nr; ++j) {
+      c[r * ldc + j] = (overwrite ? 0.0f : c[r * ldc + j]) + acc[r][j];
+    }
   }
 }
 
 using MicroKernelFn = void (*)(size_t, const float*, const float*, size_t,
-                               float*, size_t, size_t, size_t);
+                               float*, size_t, size_t, size_t, bool);
 using RowKernelFn = void (*)(size_t, const float*, const float*, size_t,
-                             float*);
+                             float*, bool);
 
 MicroKernelFn PickMicroKernel() {
 #ifdef SAMPNN_GEMM_X86
@@ -249,18 +264,88 @@ RowKernelFn ActiveRowKernel() {
 // microkernel edge-free and makes full-width loads on the last tile exact.
 // ---------------------------------------------------------------------------
 
+#ifdef SAMPNN_GEMM_X86
+
+// Packs an 8 x 8 block of a column-strided B: loads 8 consecutive k values
+// from each of 8 stored rows (`ld` floats apart) and transposes them in
+// registers, so panel row q (at dst + q * kNR) gets the 8 values at k
+// offset q.
+__attribute__((target("avx2"))) void PackTransposed8x8Avx2(
+    const float* src, size_t ld, float* dst) {
+  const __m256 r0 = _mm256_loadu_ps(src + 0 * ld);
+  const __m256 r1 = _mm256_loadu_ps(src + 1 * ld);
+  const __m256 r2 = _mm256_loadu_ps(src + 2 * ld);
+  const __m256 r3 = _mm256_loadu_ps(src + 3 * ld);
+  const __m256 r4 = _mm256_loadu_ps(src + 4 * ld);
+  const __m256 r5 = _mm256_loadu_ps(src + 5 * ld);
+  const __m256 r6 = _mm256_loadu_ps(src + 6 * ld);
+  const __m256 r7 = _mm256_loadu_ps(src + 7 * ld);
+  // Pairs of rows interleaved, then quads, then the 128-bit halves.
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  const __m256 q0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  _mm256_storeu_ps(dst + 0 * kNR, _mm256_permute2f128_ps(q0, q4, 0x20));
+  _mm256_storeu_ps(dst + 1 * kNR, _mm256_permute2f128_ps(q1, q5, 0x20));
+  _mm256_storeu_ps(dst + 2 * kNR, _mm256_permute2f128_ps(q2, q6, 0x20));
+  _mm256_storeu_ps(dst + 3 * kNR, _mm256_permute2f128_ps(q3, q7, 0x20));
+  _mm256_storeu_ps(dst + 4 * kNR, _mm256_permute2f128_ps(q0, q4, 0x31));
+  _mm256_storeu_ps(dst + 5 * kNR, _mm256_permute2f128_ps(q1, q5, 0x31));
+  _mm256_storeu_ps(dst + 6 * kNR, _mm256_permute2f128_ps(q2, q6, 0x31));
+  _mm256_storeu_ps(dst + 7 * kNR, _mm256_permute2f128_ps(q3, q7, 0x31));
+}
+
+#endif  // SAMPNN_GEMM_X86
+
+using TransposeFn = void (*)(const float*, size_t, float*);
+
+// The transposed pack runs wherever the AVX2 microkernel does.
+TransposeFn ActiveTransposeKernel() {
+#ifdef SAMPNN_GEMM_X86
+  if (ActiveMicroKernel() == MicroKernelAvx2<false>) {
+    return PackTransposed8x8Avx2;
+  }
+#endif
+  return nullptr;
+}
+
 // Packs B column tiles [t0, t1) of the current Kc x Nc panel, tile t0 at
 // `out`. Cooperative packing hands each worker a disjoint tile range of
-// the shared buffer.
+// the shared buffer. A column-strided B (W^T in delta * W^T) would be
+// gathered one float per stored row per k step, so its full tiles are
+// packed 8 x 8 in registers instead; k and column remainders, and the
+// portable build, keep the scalar loop.
 void PackBTiles(const float* b, size_t b_rs, size_t b_cs, size_t pc,
                 size_t kc, size_t jc, size_t nc, size_t t0, size_t t1,
                 float* __restrict__ out) {
+  const TransposeFn transpose = b_rs == 1 ? ActiveTransposeKernel() : nullptr;
   for (size_t t = t0; t < t1; ++t) {
     const size_t j0 = jc + t * kNR;
     const size_t jw = std::min(kNR, jc + nc - j0);
-    for (size_t p = 0; p < kc; ++p) {
+    float* tile = out + (t - t0) * kc * kNR;
+    size_t p0 = 0;
+    if (transpose != nullptr && jw == kNR) {
+      for (; p0 + 8 <= kc; p0 += 8) {
+        const float* src = b + pc + p0 + j0 * b_cs;
+        transpose(src, b_cs, tile + p0 * kNR);
+        transpose(src + 8 * b_cs, b_cs, tile + p0 * kNR + 8);
+      }
+    }
+    for (size_t p = p0; p < kc; ++p) {
       const float* src = b + (pc + p) * b_rs + j0 * b_cs;
-      float* dst = out + ((t - t0) * kc + p) * kNR;
+      float* dst = tile + p * kNR;
       if (b_cs == 1) {
         for (size_t j = 0; j < jw; ++j) dst[j] = src[j];
       } else {
@@ -299,17 +384,18 @@ struct ApackTag {
 };
 thread_local ApackTag t_apack_tag;
 
-// Per-thread copy of an in-place product's partial last column tile, one
-// Kc block at a time.
-thread_local AlignedBuffer t_bedge;
+// Per-thread copy of the one B tile a skinny product's task is working on
+// when the tile cannot be read in place, one Kc block at a time.
+thread_local AlignedBuffer t_btile;
 
 // Distinguishes concurrent/successive GEMM calls in the A-pack cache tags.
 std::atomic<uint64_t> g_call_serial{1};
 
 // Blocked-nest telemetry, charged once per dispatch on scope exit (also on
-// the cancellation early-outs): B panels packed, B panels read in place, A
-// blocks packed (across all workers), and microtile-sweep tasks executed
-// (one per Kc block with a packed B, one for all of K in place).
+// the cancellation early-outs): B panels packed (shared, or tile by tile
+// in a skinny product's tasks), B panels read in place, A blocks packed
+// (across all workers), and microtile-sweep tasks executed (one per Kc
+// block with a shared panel, one for all of K in a skinny product).
 struct BlockTally {
   explicit BlockTally(bool enabled) : on(enabled) {}
   ~BlockTally() {
@@ -359,22 +445,18 @@ bool MicroKernelIsAvx2() {
 #endif
 }
 
-void PackedGemm(size_t m, size_t n, size_t k, float alpha, const float* a,
-                size_t a_rs, size_t a_cs, const float* b, size_t b_rs,
-                size_t b_cs, float* c, size_t ldc) {
-  PackedGemmParallel(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, 1);
-}
-
 void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
                         const float* a, size_t a_rs, size_t a_cs,
                         const float* b, size_t b_rs, size_t b_cs, float* c,
-                        size_t ldc, size_t threads) {
+                        size_t ldc, size_t threads, bool overwrite) {
   if (m == 0 || n == 0) return;
+  SAMPNN_DCHECK(!overwrite || (k != 0 && alpha != 0.0f));
   if (k == 0 || alpha == 0.0f) return;  // C += 0
   // Serving-layer cancellation: the dispatching thread's context, if any,
   // is captured here and polled between panels and grid tasks (including
   // by the pool workers the tasks fan out to). A cancelled product leaves
-  // C partially written; the cancellable caller discards it.
+  // C partially written (with `overwrite`, partly its old contents); the
+  // cancellable caller discards it.
   const CancelContext* cancel = CurrentKernelCancellation();
   // Phase tag for /statusz: the dispatching thread advertises "gemm" with
   // the serving request id (0 outside the serving path) for the duration of
@@ -397,30 +479,36 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
       g_call_serial.fetch_add(1, std::memory_order_relaxed);
   BlockTally tally(TelemetryEnabled());
 
-  // A skinny product with row-major B reads B's full column tiles where
-  // they lie; only a partial last tile is packed. The choice depends on the
-  // operands alone, and both layouts give the same bits.
+  // A skinny product never shares a packed B panel: with at most four row
+  // tiles each B tile has one consumer, the task that owns its columns, so
+  // that task reads the tile in place or packs it itself. Full tiles of a
+  // row-major B are read in place unless more than one row tile would
+  // re-read a 4 KiB-aliased stride; the rest (a column-strided B, an
+  // aliased stride, a partial last tile) are packed tile by tile. The
+  // choice depends on the operands alone, and every layout gives the same
+  // bits.
+  const bool skinny = m <= kSkinnyMaxRows;
   const bool b_in_place =
-      b_cs == 1 && (m <= kMR || (m <= kInPlaceMaxRows &&
-                                 b_rs % kAliasStrideFloats != 0));
+      skinny && b_cs == 1 && (m <= kMR || b_rs % kAliasStrideFloats != 0);
   const MicroKernelFn micro = ActiveMicroKernel();
   const MicroKernelFn in_place_micro = ActiveInPlaceKernel();
   const RowKernelFn row_kernel =
       m == 1 && b_in_place ? ActiveRowKernel() : nullptr;
-  // Shared B-panel buffer for a packed call, checked out of the pool —
+  // Shared B-panel buffer for a taller product, checked out of the pool —
   // written once per (jc, pc) block, read concurrently by every grid task.
-  // Hot-path GEMMs hit the freelist and allocate nothing; an in-place call
+  // Hot-path GEMMs hit the freelist and allocate nothing; a skinny call
   // takes no pool lock.
   PackedBufferPool::Handle b_handle;
-  if (!b_in_place) {
+  if (!skinny) {
     b_handle = PackedBufferPool::Global().Acquire(
         (std::min(n, nc_max) + kNR - 1) / kNR * kNR * kc_max);
   }
   float* const bpack = b_handle.data();
   // Per-thread A scratch for this call's largest block: one Kc block with
-  // a packed B; all of K in place, where each task walks every Kc block.
+  // a shared panel; all of K in a skinny product, where each task walks
+  // every Kc block.
   const size_t a_pack_floats = (std::min(m, mc_max) + kMR - 1) / kMR * kMR *
-                               (b_in_place ? k : kc_max);
+                               (skinny ? k : kc_max);
   // Packs rows [ic, ic + mc) x columns [pc, pc + kc) of A into this
   // thread's scratch, unless it already holds them.
   auto pack_a = [&](size_t ic, size_t mc, size_t pc, size_t kc) {
@@ -466,13 +554,15 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
     const size_t ic_blocks = (m + mc_max - 1) / mc_max;
     const size_t tasks = ic_blocks * jchunks;
 
-    if (b_in_place) {
-      // In place there is no shared panel to publish between Kc blocks, so
-      // the panel fans out once: each task takes its column tiles through
-      // every Kc block in ascending order, which adds the same block sums
-      // to each C element in the same order as the packed nest. The task
-      // that owns a partial last tile packs it, one Kc block at a time.
-      tally.b_in_place += (k + kc_max - 1) / kc_max;
+    if (skinny) {
+      // With no shared panel to publish between Kc blocks, the panel fans
+      // out once: each task takes its column tiles through every Kc block
+      // in ascending order, which adds the same block sums to each C
+      // element in the same order as the shared-panel nest. A tile that
+      // cannot be read in place is packed by its task, one Kc block at a
+      // time.
+      (b_in_place ? tally.b_in_place : tally.b_packs) +=
+          (k + kc_max - 1) / kc_max;
       run_grid(tasks, [&](size_t t) {
         if (tally.on) tally.tasks.fetch_add(1, std::memory_order_relaxed);
         const size_t ic = (t / jchunks) * mc_max;
@@ -487,28 +577,30 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
           const bool one_row = row_kernel != nullptr &&
                                jt + kRowKernelTiles <= jt1 &&
                                jr + kRowKernelTiles * kNR <= nc;
+          const bool pack_tile = !b_in_place || nr < kNR;
           for (size_t pc = 0; pc < k; pc += kc_max) {
             if (cancel != nullptr && cancel->ShouldStop()) return;
             const size_t kc = std::min(kc_max, k - pc);
+            const bool first = overwrite && pc == 0;
             const float* ap = apack + pc * kMR;
             const float* bp = b + pc * b_rs + jc + jr;
             if (one_row) {
-              row_kernel(kc, ap, bp, b_rs, ct);
+              row_kernel(kc, ap, bp, b_rs, ct, first);
               continue;
             }
             size_t ldb = b_rs;
             MicroKernelFn kernel = in_place_micro;
-            if (nr < kNR) {
-              t_bedge.GrowTo(kNR * kc_max);
+            if (pack_tile) {
+              t_btile.GrowTo(kNR * kc_max);
               PackBTiles(b, b_rs, b_cs, pc, kc, jc, nc, jt, jt + 1,
-                         t_bedge.data());
-              bp = t_bedge.data();
+                         t_btile.data());
+              bp = t_btile.data();
               ldb = kNR;
               kernel = micro;
             }
             for (size_t ir = 0; ir < mc; ir += kMR) {
               kernel(kc, ap + (ir / kMR) * k * kMR, bp, ldb, ct + ir * ldc,
-                     ldc, std::min(kMR, mc - ir), nr);
+                     ldc, std::min(kMR, mc - ir), nr, first);
             }
           }
           jt += one_row ? kRowKernelTiles : 1;
@@ -554,7 +646,7 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
             const size_t mr = std::min(kMR, mc - ir);
             const float* ap = apack + (ir / kMR) * kc * kMR;
             micro(kc, ap, bp, kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr,
-                  nr);
+                  nr, overwrite && pc == 0);
           }
         }
       });

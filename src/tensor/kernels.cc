@@ -59,15 +59,24 @@ inline void ApplyBeta(Matrix* c, float beta) {
   }
 }
 
-// Chooses the execution mode for one dense product of `flops` nominal
-// FLOPs and runs it: deterministic scalar (caller-provided), packed serial,
-// or packed ThreadPool-partitioned when the product is big enough to
-// amortize packing and worker wakeup.
+// Chooses the execution mode for one dense product C(m x n) = alpha *
+// op(A) * op(B) + beta * C and runs it: deterministic scalar
+// (caller-provided), packed serial, or packed on the kernel pool when the
+// product is big enough to amortize packing and worker wakeup.
+//
+// Write-once rule: a beta = 0 product on more than one worker skips the
+// serial memset, and the task that owns each C block stores 0 + its first
+// Kc block sum (same bits; C's old contents are never read). Serial
+// products keep memset + accumulate: with C out of cache, the kernel's
+// strided first-touch stores each miss for ownership while a memset
+// streams, and one worker overwriting lost to it (DESIGN.md §9).
 template <typename DetFn>
-void DispatchGemm(size_t m, size_t n, size_t k, float alpha, const float* a,
-                  size_t a_rs, size_t a_cs, const float* b, size_t b_rs,
-                  size_t b_cs, float* c, size_t ldc, DetFn&& deterministic) {
+void DispatchGemm(size_t m, size_t n, size_t k, float alpha, float beta,
+                  const float* a, size_t a_rs, size_t a_cs, const float* b,
+                  size_t b_rs, size_t b_cs, Matrix* c,
+                  DetFn&& deterministic) {
   if (DeterministicKernels()) {
+    ApplyBeta(c, beta);
     deterministic();
     return;
   }
@@ -76,8 +85,11 @@ void DispatchGemm(size_t m, size_t n, size_t k, float alpha, const float* a,
   const size_t threads =
       flops >= GemmParallelMinFlops() ? GemmThreads() : size_t{1};
   CountDispatch(threads > 1);
+  const bool overwrite = beta == 0.0f && k != 0 && alpha != 0.0f &&
+                         GemmEffectiveWorkers(threads) > 1;
+  if (!overwrite) ApplyBeta(c, beta);
   gemm_internal::PackedGemmParallel(m, n, k, alpha, a, a_rs, a_cs, b, b_rs,
-                                    b_cs, c, ldc, threads);
+                                    b_cs, c->data(), n, threads, overwrite);
 }
 
 // --- Deterministic scalar kernels: the seed's serial loop orderings. ---
@@ -144,12 +156,11 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(b.rows(), k);
   SAMPNN_CHECK_EQ(c->rows(), m);
   SAMPNN_CHECK_EQ(c->cols(), n);
-  ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
   const float* ad = a.data();
   const float* bd = b.data();
   float* cd = c->data();
-  DispatchGemm(m, n, k, alpha, ad, k, 1, bd, n, 1, cd, n,
+  DispatchGemm(m, n, k, alpha, beta, ad, k, 1, bd, n, 1, c,
                [&] { GemmScalar(ad, bd, cd, m, k, n, alpha); });
 }
 
@@ -160,15 +171,15 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(b.rows(), m);
   SAMPNN_CHECK_EQ(c->rows(), k);
   SAMPNN_CHECK_EQ(c->cols(), n);
-  ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
   const float* ad = a.data();
   const float* bd = b.data();
   float* cd = c->data();
-  // op(A) = A^T: the packed path partitions over C's rows (the gradient's
-  // output neurons), so each worker owns a disjoint row range and the
-  // weight-gradient scatter is race-free by construction.
-  DispatchGemm(k, n, m, alpha, ad, 1, k, bd, n, 1, cd, n,
+  // op(A) = A^T: the packed path's task grid splits C's rows (the weight
+  // gradient's fan-in) into Mc blocks and its columns into chunks, and
+  // every C element has one writer, so the weight-gradient product is
+  // race-free by construction.
+  DispatchGemm(k, n, m, alpha, beta, ad, 1, k, bd, n, 1, c,
                [&] { GemmTransAScalar(ad, bd, cd, m, k, n, alpha); });
 }
 
@@ -179,12 +190,11 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(b.cols(), k);
   SAMPNN_CHECK_EQ(c->rows(), m);
   SAMPNN_CHECK_EQ(c->cols(), n);
-  ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
   const float* ad = a.data();
   const float* bd = b.data();
   float* cd = c->data();
-  DispatchGemm(m, n, k, alpha, ad, k, 1, bd, 1, k, cd, n,
+  DispatchGemm(m, n, k, alpha, beta, ad, k, 1, bd, 1, k, c,
                [&] { GemmTransBScalar(ad, bd, cd, m, k, n, alpha); });
 }
 

@@ -8,9 +8,10 @@
 //   - row-subset products (MC-approx: "sampling from previous layer").
 //
 // The gemm family runs on a packed, register-blocked microkernel
-// (src/tensor/gemm.h): AVX2+FMA when the CPU supports it, ThreadPool
-// row-partitioned above a FLOP threshold (SAMPNN_THREADS workers), with a
-// bitwise-stable serial scalar path under SAMPNN_DETERMINISTIC_KERNELS=1.
+// (src/tensor/gemm.h): AVX2+FMA when the CPU supports it, split into a
+// fixed grid of (row block) x (column chunk) tasks on the kernel pool above
+// a FLOP threshold (SAMPNN_THREADS workers), with a bitwise-stable serial
+// scalar path under SAMPNN_DETERMINISTIC_KERNELS=1.
 // Elementwise ops vectorize through src/tensor/simd.h. Tuning knobs and
 // the determinism switch live in src/tensor/kernel_config.h; DESIGN.md §9
 // documents the architecture and the float-reassociation tolerance.
@@ -25,6 +26,14 @@
 #include "src/tensor/matrix.h"
 
 namespace sampnn {
+
+// Beta = 0 means C's old contents are discarded: a product on the kernel
+// pool never reads them (each C block is written once, as 0 + its first
+// Kc block sum; NaN garbage cannot leak), a serial one zeroes C first, and
+// both give the same bits. A product stopped by kernel cancellation
+// (ScopedKernelCancellation, src/tensor/kernel_config.h) leaves C
+// unspecified — with beta = 0 on the pool, partly its old contents — and
+// the cancellable caller discards it.
 
 /// C = alpha * A(m x k) * B(k x n) + beta * C(m x n).
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c, float alpha = 1.0f,

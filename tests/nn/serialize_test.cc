@@ -11,7 +11,11 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/sampnn_model_test.bin";
+  // One file per test: ctest runs the tests of a suite as parallel
+  // processes, which must not share it.
+  std::string path_ =
+      ::testing::TempDir() + "/sampnn_model_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
 };
 
 Mlp TrainedLikeNet(uint64_t seed = 9) {

@@ -1,11 +1,11 @@
 // The blocked five-loop GEMM nest: conformance of the Mc/Kc/Nc blocking
 // (edge tiles, awkward shapes, transposed operands) against the
 // double-precision oracle, bitwise thread-invariance of the fixed task
-// grid, skinny products that read B in place matching packed ones bit for
-// bit, concurrent dispatches over the shared packed-B pool (the TSan
-// surface the shared panel adds), cancellation mid-product, the panel
-// counters, block-size normalization, the worker clamp, and the range
-// splitter the dense optimizers run on.
+// grid, skinny products that read B in place or pack it task by task
+// matching shared-panel ones bit for bit, concurrent dispatches over the
+// shared packed-B pool (the TSan surface the shared panel adds),
+// cancellation mid-product, the panel counters, block-size normalization,
+// the worker clamp, and the range splitter the dense optimizers run on.
 
 #include <algorithm>
 #include <array>
@@ -123,29 +123,45 @@ TEST_F(GemmBlockedTest, AwkwardShapeSweepAgainstOracle) {
 // The task grid is a function of shape and blocking only, and every C
 // element keeps one writer accumulating in pc order — so 1, 2, and 4
 // workers must produce identical bits, including with blocks small enough
-// that one product spans many panels.
+// that one product spans many panels, and with beta = 0, where one worker
+// zeroes C and several overwrite it. The three orientations of one product
+// pack the same values, so they agree bit for bit too: 67 rows share a
+// panel, 20 rows pack (A^T * B's B) or transpose (A * B^T's B) per task.
 TEST_F(GemmBlockedTest, WorkerCountInvariantBits) {
   SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   SetGemmOversubscribe(true);
   Rng rng(4711);
-  const size_t m = 67, k = 129, n = 83;
-  Matrix a = Matrix::RandomGaussian(m, k, rng);
-  Matrix b = Matrix::RandomGaussian(k, n, rng);
-  Matrix c0 = Matrix::RandomGaussian(m, n, rng);
-
-  auto run = [&](size_t threads) {
-    SetGemmThreads(threads);
-    Matrix c = c0;
-    Gemm(a, b, &c, 0.75f, 1.0f);
-    return c;
-  };
-  const Matrix r1 = run(1);
-  const Matrix r2 = run(2);
-  const Matrix r4 = run(4);
-  EXPECT_TRUE(BitwiseEqual(r1, r2));
-  EXPECT_TRUE(BitwiseEqual(r1, r4));
+  const size_t k = 129, n = 83;
+  for (const size_t m : {67, 20}) {
+    Matrix a = Matrix::RandomGaussian(m, k, rng);
+    Matrix b = Matrix::RandomGaussian(k, n, rng);
+    Matrix c0 = Matrix::RandomGaussian(m, n, rng);
+    const Matrix at = a.Transposed();
+    const Matrix bt = b.Transposed();
+    for (const float beta : {1.0f, 0.0f}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " beta=" << beta);
+      auto run = [&](size_t threads) {
+        SetGemmThreads(threads);
+        std::array<Matrix, 3> c = {c0, c0, c0};
+        Gemm(a, b, &c[0], 0.75f, beta);
+        GemmTransA(at, b, &c[1], 0.75f, beta);
+        GemmTransB(a, bt, &c[2], 0.75f, beta);
+        return c;
+      };
+      const std::array<Matrix, 3> r1 = run(1);
+      for (const size_t threads : {2, 4}) {
+        const std::array<Matrix, 3> r = run(threads);
+        for (size_t op = 0; op < 3; ++op) {
+          EXPECT_TRUE(BitwiseEqual(r1[op], r[op]))
+              << "op=" << op << " threads=" << threads;
+        }
+      }
+      EXPECT_TRUE(BitwiseEqual(r1[0], r1[1]));
+      EXPECT_TRUE(BitwiseEqual(r1[0], r1[2]));
+    }
+  }
 }
 
 // Changing Mc/Nc (the grid partition) must not change bits either — only
@@ -175,20 +191,25 @@ TEST_F(GemmBlockedTest, McNcPartitioningDoesNotChangeBits) {
 
 // A product with at most 6 rows reads row-major B in place (one row on the
 // 1 x 64 tile), and so does one with at most 24 rows unless B's row stride
-// is a multiple of 4 KiB; a taller one packs B. Every element is the same
-// FMA chain over the same Kc blocks on both paths, so each skinny product
-// must equal the top rows of a tall one bit for bit. k = 600 crosses a Kc
-// boundary at every derived blocking (kc <= 512); the small blocking also
-// splits 20 rows into two Mc blocks. Widths: 1000 and 83 end in a partial
-// tile, 1024 is a 4 KiB row stride and 512 a 2 KiB one, 64 is one row
-// tile, 10 is only an edge tile. A one-row product sent to VecMat, which
-// sums all k terms in one chain, would fail here.
+// is a multiple of 4 KiB; other skinny products pack B tile by tile in
+// their tasks, and a taller one packs a shared panel. delta * W^T
+// (GemmTransB) reads a column-strided B, which every skinny task packs
+// with 8 x 8 transposes. Every element is the same FMA chain over the same
+// Kc blocks on every path, so each skinny product, in either orientation,
+// must equal the top rows of a tall one bit for bit. k = 601 crosses a Kc
+// boundary at every derived blocking (kc <= 512) and leaves a last Kc
+// block that is not a multiple of 8 (the transposed pack's scalar rest);
+// the small blocking also splits 20 rows into two Mc blocks. Widths: 1000
+// and 83 end in a partial tile, 1024 is a 4 KiB row stride and 512 a
+// 2 KiB one, 64 is one row tile, 10 is only an edge tile. A one-row
+// product sent to VecMat, which sums all k terms in one chain, would fail
+// here.
 TEST_F(GemmBlockedTest, SkinnyProductsEqualTopRowsOfTallProduct) {
   SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmOversubscribe(true);
   constexpr size_t kTall = 31;
-  constexpr size_t k = 600;
+  constexpr size_t k = 601;
   Rng rng(8675309);
   for (const GemmBlocking blk :
        {GemmBlocking{0, 0, 0}, GemmBlocking{12, 128, 256}}) {
@@ -196,15 +217,23 @@ TEST_F(GemmBlockedTest, SkinnyProductsEqualTopRowsOfTallProduct) {
     for (const size_t n : {10, 64, 83, 512, 1000, 1024}) {
       const Matrix a = Matrix::RandomGaussian(kTall, k, rng);
       const Matrix b = Matrix::RandomGaussian(k, n, rng);
+      const Matrix bt = b.Transposed();
       for (const size_t threads : {1, 4}) {
         SetGemmThreads(threads);
         Matrix tall(kTall, n);
         Gemm(a, b, &tall);
         for (size_t m = 1; m <= 24; ++m) {
+          const Matrix top = TopRows(tall, m);
           Matrix skinny(m, n);
           Gemm(TopRows(a, m), b, &skinny);
-          ASSERT_TRUE(BitwiseEqual(skinny, TopRows(tall, m)))
+          ASSERT_TRUE(BitwiseEqual(skinny, top))
               << "m=" << m << " n=" << n << " threads=" << threads
+              << " mc=" << blk.mc << " kc=" << blk.kc;
+          Matrix skinny_tb(m, n);
+          GemmTransB(TopRows(a, m), bt, &skinny_tb);
+          ASSERT_TRUE(BitwiseEqual(skinny_tb, top) &&
+                      BitwiseEqual(skinny_tb, skinny))
+              << "GemmTransB m=" << m << " n=" << n << " threads=" << threads
               << " mc=" << blk.mc << " kc=" << blk.kc;
         }
       }
@@ -213,8 +242,11 @@ TEST_F(GemmBlockedTest, SkinnyProductsEqualTopRowsOfTallProduct) {
 }
 
 // tensor.gemm.pack_b_panels counts only panels that were packed; the
-// panels of a skinny product count as tensor.gemm.inplace_b_panels, and a
-// call that packs nothing (no partial edge tile) never touches the
+// panels a skinny product reads in place count as
+// tensor.gemm.inplace_b_panels (packing their partial edge tile does not
+// make them packed). A skinny product whose tasks pack B tile by tile
+// (delta * W^T: column-strided B) counts one packed panel per Kc block per
+// Nc panel, as a shared panel does. No skinny call touches the
 // packed-buffer pool.
 TEST_F(GemmBlockedTest, PanelCountersSplitPackedFromInPlace) {
   const bool telemetry_was_on = TelemetryEnabled();
@@ -230,18 +262,25 @@ TEST_F(GemmBlockedTest, PanelCountersSplitPackedFromInPlace) {
   Rng rng(77);
   // k = 40 is three Kc blocks; n = 64 is two Nc panels: six panels a call.
   const Matrix b = Matrix::RandomGaussian(40, 64, rng);
-  auto run = [&](size_t m) {
+  const Matrix w = Matrix::RandomGaussian(64, 40, rng);
+  // {packed, in place, pool checkouts} of one product with m rows.
+  auto run = [&](size_t m, bool trans_b) {
     const uint64_t p0 = packed.Value(), i0 = in_place.Value();
     const uint64_t checkouts0 = pool.Allocations() + pool.Reuses();
     Matrix c(m, 64);
-    Gemm(Matrix::RandomGaussian(m, 40, rng), b, &c);
+    if (trans_b) {
+      GemmTransB(Matrix::RandomGaussian(m, 40, rng), w, &c);
+    } else {
+      Gemm(Matrix::RandomGaussian(m, 40, rng), b, &c);
+    }
     return std::array<uint64_t, 3>{
         packed.Value() - p0, in_place.Value() - i0,
         pool.Allocations() + pool.Reuses() - checkouts0};
   };
-  EXPECT_EQ(run(20), (std::array<uint64_t, 3>{0, 6, 0}));
-  EXPECT_EQ(run(1), (std::array<uint64_t, 3>{0, 6, 0}));
-  EXPECT_EQ(run(25), (std::array<uint64_t, 3>{6, 0, 1}));
+  EXPECT_EQ(run(20, false), (std::array<uint64_t, 3>{0, 6, 0}));
+  EXPECT_EQ(run(1, false), (std::array<uint64_t, 3>{0, 6, 0}));
+  EXPECT_EQ(run(25, false), (std::array<uint64_t, 3>{6, 0, 1}));
+  EXPECT_EQ(run(20, true), (std::array<uint64_t, 3>{6, 0, 0}));
   SetTelemetryEnabled(telemetry_was_on);
 }
 
@@ -335,11 +374,14 @@ TEST_F(GemmBlockedTest, PoolAcquireGrowsAndRecycles) {
   EXPECT_EQ(pool.IdleCount(), 1u);
 }
 
-// A cancelled context stops the product between panels: C keeps its
-// beta-scaled value, the product is never added, and nothing crashes or
-// deadlocks when the cancel lands while the grid is mid-flight. The same
-// holds for a packed B (m = 60), an in-place one (m = 20) and the one-row
-// tile (m = 1).
+// A cancelled context stops the product between panels: with beta = 0.5,
+// C keeps its beta-scaled value and the product is never added, and
+// nothing crashes or deadlocks when the cancel lands while the grid is
+// mid-flight. The same holds for a packed B (m = 60), an in-place one
+// (m = 20) and the one-row tile (m = 1). C is unspecified after a
+// cancelled beta = 0 product on the pool, which skips the memset and
+// writes each block once (it may keep old contents), so the mid-flight
+// products' C is never inspected; the caller discards a cancelled product.
 TEST_F(GemmBlockedTest, CancellationStopsTheNest) {
   SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);

@@ -1,10 +1,13 @@
 #include "src/tensor/kernels.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "src/tensor/kernel_config.h"
 #include "src/util/rng.h"
 
 namespace sampnn {
@@ -88,13 +91,84 @@ TEST(GemmTest, BetaAccumulates) {
   }
 }
 
+// Restores the GEMM dispatch settings a test changes.
+struct GemmConfigGuard {
+  ~GemmConfigGuard() {
+    SetGemmThreads(0);
+    SetGemmBlockSizes(0, 0, 0);
+    SetGemmParallelMinFlops(min_flops);
+    SetGemmOversubscribe(oversubscribe);
+  }
+  const uint64_t min_flops = GemmParallelMinFlops();
+  const bool oversubscribe = GemmOversubscribe();
+};
+
+// beta = 0 discards C: a serial product zeroes it first, and a product on
+// the pool never reads it (the first Kc block of each tile stores 0 + its
+// sum). Either way the bits must equal accumulating (beta = 1) into a
+// zeroed C, over NaN garbage, in all three orientations: skinny (in place,
+// packed per task, one row) and tall (shared panel), one Kc block or
+// several. C(0, 0) of the k = 1 products is 1e-30 * -1e-20, an FMA chain
+// that underflows to -0; like 0 + (-0) it must come out +0. k = 0 and
+// alpha = 0 leave zeros.
 TEST(GemmTest, BetaZeroOverwritesGarbage) {
+  GemmConfigGuard guard;
+  SetGemmParallelMinFlops(1);
+  SetGemmOversubscribe(true);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(3);
-  Matrix a = Matrix::RandomGaussian(3, 3, rng);
-  Matrix b = Matrix::RandomGaussian(3, 3, rng);
-  Matrix c = Matrix::Filled(3, 3, 999.0f);
-  Gemm(a, b, &c, 1.0f, 0.0f);
-  EXPECT_TRUE(c.AllClose(NaiveMatmul(a, b), 1e-3f));
+  struct Shape {
+    size_t m, k, n;
+  };
+  const Shape shapes[] = {{20, 1, 70},  {1, 40, 70},  {20, 40, 70},
+                          {40, 40, 70}, {7, 601, 83}, {40, 601, 83},
+                          {20, 0, 70}};
+  for (const GemmBlocking blk :
+       {GemmBlocking{0, 0, 0}, GemmBlocking{12, 16, 32}}) {
+    SetGemmBlockSizes(blk.mc, blk.kc, blk.nc);
+    for (const size_t threads : {1, 4}) {
+      SetGemmThreads(threads);
+      for (const Shape& s : shapes) {
+        Matrix a = Matrix::RandomGaussian(s.m, s.k, rng);
+        Matrix b = Matrix::RandomGaussian(s.k, s.n, rng);
+        if (s.k == 1) {
+          a(0, 0) = 1e-30f;
+          b(0, 0) = -1e-20f;
+        }
+        const Matrix at = a.Transposed();
+        const Matrix bt = b.Transposed();
+        for (const float alpha : {1.0f, 0.0f}) {
+          for (int op = 0; op < 3; ++op) {
+            SCOPED_TRACE(testing::Message()
+                         << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                         << " alpha=" << alpha << " op=" << op
+                         << " threads=" << threads << " kc=" << blk.kc);
+            auto product = [&](Matrix* c, float beta) {
+              if (op == 0) Gemm(a, b, c, alpha, beta);
+              if (op == 1) GemmTransA(at, b, c, alpha, beta);
+              if (op == 2) GemmTransB(a, bt, c, alpha, beta);
+            };
+            Matrix got = Matrix::Filled(s.m, s.n, nan);
+            product(&got, 0.0f);
+            Matrix want(s.m, s.n);
+            product(&want, 1.0f);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0);
+            if (s.k == 1 && alpha == 1.0f) {
+              EXPECT_EQ(got(0, 0), 0.0f);
+              EXPECT_FALSE(std::signbit(got(0, 0)));
+            }
+            if (s.k == 0 || alpha == 0.0f) {
+              for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got.data()[i], 0.0f);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(VecMatTest, MatchesGemmRow) {

@@ -19,7 +19,11 @@ std::string ReadAll(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/sampnn_csv_test.csv";
+  // One file per test: ctest runs the tests of a suite as parallel
+  // processes, which must not share it.
+  std::string path_ =
+      ::testing::TempDir() + "/sampnn_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
