@@ -2,50 +2,7 @@
 
 #include <cmath>
 
-#include "src/tensor/kernels.h"
-
 namespace sampnn {
-
-StatusOr<MatmulScheme> MatmulSchemeFromString(const std::string& name) {
-  if (name == "exact") return MatmulScheme::kExact;
-  if (name == "drineas") return MatmulScheme::kDrineas;
-  if (name == "adelman") return MatmulScheme::kAdelman;
-  return Status::InvalidArgument("unknown matmul scheme: " + name);
-}
-
-const char* MatmulSchemeToString(MatmulScheme scheme) {
-  switch (scheme) {
-    case MatmulScheme::kExact:
-      return "exact";
-    case MatmulScheme::kDrineas:
-      return "drineas";
-    case MatmulScheme::kAdelman:
-      return "adelman";
-  }
-  return "unknown";
-}
-
-Status SchemeMatmul(MatmulScheme scheme, const Matrix& a, const Matrix& b,
-                    size_t k, Rng& rng, Matrix* out) {
-  SAMPNN_CHECK(out != nullptr);
-  switch (scheme) {
-    case MatmulScheme::kExact: {
-      if (a.cols() != b.rows()) {
-        return Status::InvalidArgument("SchemeMatmul: dimension mismatch");
-      }
-      if (out->rows() != a.rows() || out->cols() != b.cols()) {
-        *out = Matrix(a.rows(), b.cols());
-      }
-      Gemm(a, b, out);
-      return Status::OK();
-    }
-    case MatmulScheme::kDrineas:
-      return DrineasApproxMatmul(a, b, k, rng, out);
-    case MatmulScheme::kAdelman:
-      return AdelmanApproxMatmul(a, b, k, rng, out);
-  }
-  return Status::Internal("unreachable scheme");
-}
 
 StatusOr<double> RelativeFrobeniusError(const Matrix& exact,
                                         const Matrix& estimate) {

@@ -1,35 +1,13 @@
-// Scheme dispatcher over exact / Drineas / Adelman matrix products, used by
-// the MC-approx trainer and by the approximation micro benches to swap
-// estimators behind one call site.
+// Accuracy measure for the sampled matrix-product estimators (Drineas,
+// Adelman): the relative Frobenius error of an estimate against the exact
+// product, for tests and benches.
 
 #pragma once
 
-#include <string>
-
-#include "src/approx/adelman.h"
-#include "src/approx/drineas.h"
 #include "src/tensor/matrix.h"
-#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace sampnn {
-
-/// Which estimator computes a product.
-enum class MatmulScheme {
-  kExact,    ///< dense gemm
-  kDrineas,  ///< with-replacement CR sampling (§6.1)
-  kAdelman,  ///< Bernoulli column-row sampling (§6.2, Eq. 7)
-};
-
-/// Parses "exact" | "drineas" | "adelman".
-StatusOr<MatmulScheme> MatmulSchemeFromString(const std::string& name);
-
-/// Canonical lowercase name.
-const char* MatmulSchemeToString(MatmulScheme scheme);
-
-/// C = A * B under `scheme` with k samples (ignored for kExact).
-Status SchemeMatmul(MatmulScheme scheme, const Matrix& a, const Matrix& b,
-                    size_t k, Rng& rng, Matrix* out);
 
 /// Relative Frobenius error ||AB - est||_F / ||AB||_F, for benches/tests.
 StatusOr<double> RelativeFrobeniusError(const Matrix& exact,

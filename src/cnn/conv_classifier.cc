@@ -1,10 +1,10 @@
 #include "src/cnn/conv_classifier.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
-#include "src/approx/adelman.h"
+#include "src/core/dropout_trainer.h"
+#include "src/core/mc_trainer.h"
 #include "src/nn/loss.h"
 #include "src/telemetry/trace.h"
 #include "src/tensor/kernels.h"
@@ -40,12 +40,36 @@ StatusOr<ConvClassifier> ConvClassifier::Create(
   return ConvClassifier(config, std::move(features), std::move(classifier));
 }
 
+namespace {
+
+// The mode's policy. Only the backward products are approximated in MC
+// mode: the conv experiment keeps the feedforward exact.
+std::unique_ptr<DensePolicy> MakePolicy(const ConvClassifierConfig& config) {
+  const uint64_t seed = config.seed ^ 0xC0371ull;
+  switch (config.mode) {
+    case ClassifierMode::kExact:
+      break;
+    case ClassifierMode::kMc: {
+      McOptions mc = config.mc;
+      mc.approx_forward = false;
+      return std::make_unique<McProducts>(mc, seed);
+    }
+    case ClassifierMode::kDropout:
+      return std::make_unique<DropoutMasks>(/*num_hidden=*/1,
+                                            config.dropout_keep, seed);
+  }
+  return std::make_unique<DensePolicy>();
+}
+
+}  // namespace
+
 ConvClassifier::ConvClassifier(const ConvClassifierConfig& config,
                                FeatureExtractor features, Mlp classifier)
     : config_(config),
       features_(std::move(features)),
       classifier_(std::move(classifier)),
-      rng_(config.seed ^ 0xC0371ull) {}
+      policy_(MakePolicy(config)),
+      sgd_(config.learning_rate) {}
 
 size_t ConvClassifier::num_params() const {
   return features_.num_params() + classifier_.num_params();
@@ -56,98 +80,38 @@ StatusOr<double> ConvClassifier::Step(const Matrix& x,
   if (x.rows() != y.size()) {
     return Status::InvalidArgument("ConvClassifier::Step: batch mismatch");
   }
-  // --- Forward: exact conv, exact FC (masked in dropout mode). ---
+  // --- Forward: exact conv, then the classifier under the mode's policy. ---
   const Matrix* feats = nullptr;
   {
     PhaseScope scope(&timer_, "conv_forward");
     feats = &features_.Forward(x, &fx_ws_);
   }
-  double loss = 0.0;
   {
     PhaseScope scope(&timer_, kPhaseForward);
-    classifier_.Forward(*feats, &clf_ws_);
-    if (config_.mode == ClassifierMode::kDropout) {
-      Matrix& a1 = clf_ws_.a[0];
-      if (mask_.rows() != a1.rows() || mask_.cols() != a1.cols()) {
-        mask_ = Matrix(a1.rows(), a1.cols());
-      }
-      const float inv_keep = 1.0f / config_.dropout_keep;
-      float* md = mask_.data();
-      for (size_t i = 0; i < mask_.size(); ++i) {
-        md[i] = rng_.NextBernoulli(config_.dropout_keep) ? inv_keep : 0.0f;
-      }
-      HadamardInPlace(&a1, mask_);
-      // Recompute the output layer on the masked activations.
-      classifier_.layer(1).ForwardLinear(a1, &clf_ws_.z[1]);
-      clf_ws_.a[1] = clf_ws_.z[1];
-    }
+    SAMPNN_RETURN_NOT_OK(classifier_.Forward(*feats, *policy_, &clf_ws_));
   }
   // --- Backward: classifier per mode, conv exact. ---
-  {
-    PhaseScope scope(&timer_, kPhaseBackward);
-    SAMPNN_ASSIGN_OR_RETURN(loss, SoftmaxCrossEntropy::LossAndGrad(
-                                      clf_ws_.a.back(), y, &grad_logits_));
-    Layer& fc1 = classifier_.layer(0);
-    Layer& fc2 = classifier_.layer(1);
-    const Matrix& a1 = clf_ws_.a[0];
-
-    Matrix grad_w2, grad_w1, delta1, delta_feats;
-    std::vector<float> grad_b2(fc2.out_dim()), grad_b1(fc1.out_dim());
-    const size_t batch = x.rows();
-    if (config_.mode == ClassifierMode::kMc) {
-      const size_t k_grad = std::min(batch, config_.mc.grad_batch_samples);
-      SAMPNN_RETURN_NOT_OK(AdelmanApproxGemmTransA(a1, grad_logits_, k_grad,
-                                                   rng_, &grad_w2));
-      const size_t k_delta = std::min(
-          fc2.in_dim(),
-          std::max(config_.mc.delta_min_samples,
-                   static_cast<size_t>(std::llround(
-                       config_.mc.delta_sample_ratio *
-                       static_cast<double>(fc2.in_dim())))));
-      // delta1 over fc1 outputs: sampled over the shared inner dimension.
-      SAMPNN_RETURN_NOT_OK(AdelmanApproxGemmTransB(
-          grad_logits_, fc2.weights(),
-          std::min(k_delta, fc2.weights().cols()), rng_, &delta1));
-    } else {
-      grad_w2 = Matrix(fc2.in_dim(), fc2.out_dim());
-      GemmTransA(a1, grad_logits_, &grad_w2);
-      delta1 = Matrix(batch, fc2.in_dim());
-      GemmTransB(grad_logits_, fc2.weights(), &delta1);
+  PhaseScope scope(&timer_, kPhaseBackward);
+  SAMPNN_ASSIGN_OR_RETURN(
+      const double loss,
+      SoftmaxCrossEntropy::LossAndGrad(clf_ws_.a.back(), y, &grad_logits_));
+  SAMPNN_RETURN_NOT_OK(classifier_.Backward(*feats, grad_logits_, *policy_,
+                                            &clf_ws_, &grads_));
+  if (config_.train_features) {
+    // Exact delta at the features, through the pre-update weights (the
+    // conv path stays exact even in MC mode, per §8.4).
+    const Layer& fc1 = classifier_.layer(0);
+    if (delta_features_.rows() != x.rows() ||
+        delta_features_.cols() != fc1.in_dim()) {
+      delta_features_ = Matrix(x.rows(), fc1.in_dim());
     }
-    ColumnSums(grad_logits_, grad_b2);
-    MultiplyActivationGrad(fc1.activation(), clf_ws_.z[0], &delta1);
-    if (config_.mode == ClassifierMode::kDropout) {
-      HadamardInPlace(&delta1, mask_);
-    }
-    if (config_.mode == ClassifierMode::kMc) {
-      const size_t k_grad = std::min(batch, config_.mc.grad_batch_samples);
-      SAMPNN_RETURN_NOT_OK(
-          AdelmanApproxGemmTransA(*feats, delta1, k_grad, rng_, &grad_w1));
-    } else {
-      grad_w1 = Matrix(fc1.in_dim(), fc1.out_dim());
-      GemmTransA(*feats, delta1, &grad_w1);
-    }
-    ColumnSums(delta1, grad_b1);
-    if (config_.train_features) {
-      // Exact delta at the features (the conv path stays exact even in MC
-      // mode, per §8.4).
-      delta_feats = Matrix(batch, fc1.in_dim());
-      GemmTransB(delta1, fc1.weights(), &delta_feats);
-    }
-
-    // Pure SGD updates on the classifier.
-    const float lr = config_.learning_rate;
-    Axpy(-lr, grad_w2, &fc2.weights());
-    Axpy(-lr, grad_w1, &fc1.weights());
-    auto b2 = fc2.bias();
-    for (size_t j = 0; j < b2.size(); ++j) b2[j] -= lr * grad_b2[j];
-    auto b1 = fc1.bias();
-    for (size_t j = 0; j < b1.size(); ++j) b1[j] -= lr * grad_b1[j];
-
-    if (config_.train_features) {
-      PhaseScope conv_scope(&timer_, "conv_backward");
-      features_.BackwardAndUpdate(x, &fx_ws_, delta_feats, lr);
-    }
+    GemmTransB(clf_ws_.delta, fc1.weights(), &delta_features_);
+  }
+  sgd_.Step(&classifier_, grads_);
+  if (config_.train_features) {
+    PhaseScope conv_scope(&timer_, "conv_backward");
+    features_.BackwardAndUpdate(x, &fx_ws_, delta_features_,
+                                config_.learning_rate);
   }
   return loss;
 }

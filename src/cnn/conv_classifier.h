@@ -4,6 +4,10 @@
 // sampled backward products of §6.2), or Dropout-masked. "We limit the
 // approximation to the classifier and keep the convoluted operations
 // exact. Also, for CIFAR-10, we use pure SGD" — hence plain SGD throughout.
+//
+// The classifier trains through the Mlp's dense loops under the mode's
+// policy — the exact pass, MC-approx's products or Dropout's masks — and
+// steps with SgdOptimizer (no momentum).
 
 #pragma once
 
@@ -16,6 +20,7 @@
 #include "src/data/dataset.h"
 #include "src/metrics/split_timer.h"
 #include "src/nn/mlp.h"
+#include "src/optim/optimizer.h"
 
 namespace sampnn {
 
@@ -51,6 +56,7 @@ class ConvClassifier {
   /// One SGD step over a minibatch; returns the batch loss. Feedforward and
   /// backprop wall time are charged to the timer(), with the conv portion
   /// additionally recorded under "conv_forward"/"conv_backward".
+  /// InvalidArgument on a batch/label mismatch.
   StatusOr<double> Step(const Matrix& x, std::span<const int32_t> y);
 
   /// Argmax predictions (exact forward everywhere).
@@ -70,11 +76,15 @@ class ConvClassifier {
   ConvClassifierConfig config_;
   FeatureExtractor features_;
   Mlp classifier_;  // 1 hidden FC layer + linear output = "two FC layers"
+  // On the heap: the workspace's mask pointers point into it, and the
+  // classifier is returned by value.
+  std::unique_ptr<DensePolicy> policy_;
+  SgdOptimizer sgd_;
   FeatureExtractor::Workspace fx_ws_;
   MlpWorkspace clf_ws_;
+  MlpGrads grads_;
   Matrix grad_logits_;
-  Matrix mask_;  // dropout mode
-  Rng rng_;
+  Matrix delta_features_;
   SplitTimer timer_;
 };
 

@@ -1,134 +1,39 @@
 #include "src/core/dropout_trainer.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "src/nn/loss.h"
-#include "src/resilience/fault_injector.h"
-#include "src/telemetry/trace.h"
-#include "src/tensor/kernels.h"
 #include "src/util/binary_io.h"
 
 namespace sampnn {
 
-MaskedTrainer::MaskedTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
-                             uint64_t seed)
-    : Trainer(std::move(net)), rng_(seed), optimizer_(std::move(optimizer)) {
-  SAMPNN_CHECK(optimizer_ != nullptr);
-}
+DropoutMasks::DropoutMasks(size_t num_hidden, float keep_prob, uint64_t seed)
+    : rng_(seed), keep_prob_(keep_prob), masks_(num_hidden) {}
 
-StatusOr<double> MaskedTrainer::Step(const Matrix& x,
-                                     std::span<const int32_t> y) {
-  const size_t num_layers = net_.num_layers();
-  const size_t num_hidden = net_.num_hidden_layers();
-  ws_.z.resize(num_layers);
-  ws_.a.resize(num_layers);
-  masks_.resize(num_hidden);
-
-  // Masked feedforward: a^k = f(z^k) ⊙ mask^k for hidden layers; the output
-  // layer stays dense.
-  {
-    PhaseScope scope(&timer_, kPhaseForward);
-    const Matrix* prev = &x;
-    for (size_t k = 0; k < num_layers; ++k) {
-      const Layer& layer = net_.layer(k);
-      layer.ForwardLinear(*prev, &ws_.z[k]);
-      layer.Activate(ws_.z[k], &ws_.a[k]);
-      if (k < num_hidden) {
-        FillMask(k, ws_.z[k], &masks_[k]);
-        HadamardInPlace(&ws_.a[k], masks_[k]);
-      }
-      prev = &ws_.a[k];
-    }
+const Matrix* DropoutMasks::Mask(size_t k, const Matrix& z) {
+  Matrix& mask = masks_[k];
+  if (mask.rows() != z.rows() || mask.cols() != z.cols()) {
+    mask = Matrix(z.rows(), z.cols());
   }
-
-  double loss = 0.0;
-  {
-    PhaseScope scope(&timer_, kPhaseBackward);
-    SAMPNN_ASSIGN_OR_RETURN(
-        loss, SoftmaxCrossEntropy::LossAndGrad(ws_.a.back(), y, &grad_logits_));
-    if (grads_.size() != num_layers) grads_ = net_.ZeroGrads();
-
-    Matrix delta = grad_logits_;
-    Matrix delta_prev;
-    for (size_t k = num_layers; k-- > 0;) {
-      const Layer& layer = net_.layer(k);
-      LayerGrads& g = grads_[k];
-      const Matrix& a_prev = (k == 0) ? x : ws_.a[k - 1];
-      GemmTransA(a_prev, delta, &g.weights);
-      g.bias.resize(layer.out_dim());
-      ColumnSums(delta, g.bias);
-      if (k > 0) {
-        if (delta_prev.rows() != delta.rows() ||
-            delta_prev.cols() != layer.in_dim()) {
-          delta_prev = Matrix(delta.rows(), layer.in_dim());
-        }
-        GemmTransB(delta, layer.weights(), &delta_prev);
-        MultiplyActivationGrad(net_.layer(k - 1).activation(), ws_.z[k - 1],
-                               &delta_prev);
-        // Dropped nodes receive no gradient (and kept ones keep the
-        // inverted-dropout scale).
-        HadamardInPlace(&delta_prev, masks_[k - 1]);
-        delta = std::move(delta_prev);
-        delta_prev = Matrix();
-      }
-    }
-    if (FaultArmed(FaultKind::kGradNan)) {
-      // Output layer: ReLU would mask a NaN in the hidden layers.
-      grads_.back().weights(0, 0) = std::numeric_limits<float>::quiet_NaN();
-    }
-    if (track_grad_norm_) last_grad_norm2_ = GradSquaredNorm(grads_);
-    optimizer_->Step(&net_, grads_);
-  }
-  return loss;
+  Fill(z, &mask);
+  return &mask;
 }
 
-Status MaskedTrainer::SaveExtraState(std::ostream& out) const {
-  WriteRngState(out, rng_.GetState());
-  return optimizer_->SaveState(out);
-}
-
-Status MaskedTrainer::LoadExtraState(std::istream& in) {
-  SAMPNN_ASSIGN_OR_RETURN(RngState rng_state, ReadRngState(in));
-  SAMPNN_RETURN_NOT_OK(optimizer_->LoadState(in, net_));
-  rng_.SetState(rng_state);
-  return Status::OK();
-}
-
-DropoutTrainer::DropoutTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
-                               const DropoutOptions& options, uint64_t seed)
-    : MaskedTrainer(std::move(net), std::move(optimizer), seed),
-      options_(options) {
-  SAMPNN_CHECK(options.keep_prob > 0.0f && options.keep_prob <= 1.0f);
-}
-
-void DropoutTrainer::FillMask(size_t /*layer*/, const Matrix& z,
-                              Matrix* mask) {
-  if (mask->rows() != z.rows() || mask->cols() != z.cols()) {
-    *mask = Matrix(z.rows(), z.cols());
-  }
-  const float inv_keep = 1.0f / options_.keep_prob;
+void DropoutMasks::Fill(const Matrix& /*z*/, Matrix* mask) {
+  const float inv_keep = 1.0f / keep_prob_;
   float* md = mask->data();
   for (size_t i = 0; i < mask->size(); ++i) {
-    md[i] = rng_.NextBernoulli(options_.keep_prob) ? inv_keep : 0.0f;
+    md[i] = rng_.NextBernoulli(keep_prob_) ? inv_keep : 0.0f;
   }
 }
 
-AdaptiveDropoutTrainer::AdaptiveDropoutTrainer(
-    Mlp net, std::unique_ptr<Optimizer> optimizer,
-    const AdaptiveDropoutOptions& options, uint64_t seed)
-    : MaskedTrainer(std::move(net), std::move(optimizer), seed),
-      options_(options) {
-  SAMPNN_CHECK(options.target_prob > 0.0f && options.target_prob < 1.0f);
-  SAMPNN_CHECK(options.min_prob > 0.0f && options.min_prob <= 1.0f);
-  beta_ = std::log(options.target_prob / (1.0f - options.target_prob));
-}
+AdaptiveDropoutMasks::AdaptiveDropoutMasks(
+    size_t num_hidden, const AdaptiveDropoutOptions& options, uint64_t seed)
+    : DropoutMasks(num_hidden, options.target_prob, seed),
+      options_(options),
+      beta_(std::log(options.target_prob / (1.0f - options.target_prob))) {}
 
-void AdaptiveDropoutTrainer::FillMask(size_t /*layer*/, const Matrix& z,
-                                      Matrix* mask) {
-  if (mask->rows() != z.rows() || mask->cols() != z.cols()) {
-    *mask = Matrix(z.rows(), z.cols());
-  }
+void AdaptiveDropoutMasks::Fill(const Matrix& z, Matrix* mask) {
   const float* zd = z.data();
   float* md = mask->data();
   for (size_t i = 0; i < mask->size(); ++i) {
@@ -136,8 +41,28 @@ void AdaptiveDropoutTrainer::FillMask(size_t /*layer*/, const Matrix& z,
     // pre-activations.
     float pi = 1.0f / (1.0f + std::exp(-(options_.alpha * zd[i] + beta_)));
     pi = std::max(pi, options_.min_prob);
-    md[i] = rng_.NextBernoulli(pi) ? 1.0f / pi : 0.0f;
+    md[i] = rng().NextBernoulli(pi) ? 1.0f / pi : 0.0f;
   }
+}
+
+MaskedTrainer::MaskedTrainer(const char* name, Mlp net,
+                             std::unique_ptr<Optimizer> optimizer,
+                             std::unique_ptr<DropoutMasks> masks)
+    : DenseTrainer(name, std::move(net), std::move(optimizer)),
+      masks_(std::move(masks)) {
+  SAMPNN_CHECK(masks_ != nullptr);
+}
+
+Status MaskedTrainer::SaveExtraState(std::ostream& out) const {
+  WriteRngState(out, masks_->rng().GetState());
+  return DenseTrainer::SaveExtraState(out);
+}
+
+Status MaskedTrainer::LoadExtraState(std::istream& in) {
+  SAMPNN_ASSIGN_OR_RETURN(RngState rng_state, ReadRngState(in));
+  SAMPNN_RETURN_NOT_OK(DenseTrainer::LoadExtraState(in));
+  masks_->rng().SetState(rng_state);
+  return Status::OK();
 }
 
 }  // namespace sampnn

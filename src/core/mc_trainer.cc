@@ -3,159 +3,107 @@
 #include <algorithm>
 #include <cmath>
 
-#include <limits>
-
 #include "src/approx/adelman.h"
-#include "src/nn/loss.h"
-#include "src/resilience/fault_injector.h"
 #include "src/telemetry/epoch_recorder.h"
 #include "src/telemetry/metrics_registry.h"
 #include "src/telemetry/trace.h"
-#include "src/tensor/kernels.h"
 #include "src/util/binary_io.h"
 
 namespace sampnn {
 
-StatusOr<std::unique_ptr<McTrainer>> McTrainer::Create(
-    Mlp net, std::unique_ptr<Optimizer> optimizer, const McOptions& options,
-    uint64_t seed) {
-  if (optimizer == nullptr) {
-    return Status::InvalidArgument("McTrainer: optimizer required");
-  }
-  if (options.grad_batch_samples == 0) {
-    return Status::InvalidArgument("McTrainer: grad_batch_samples must be >= 1");
-  }
-  if (options.delta_sample_ratio <= 0.0 || options.delta_sample_ratio > 1.0) {
-    return Status::InvalidArgument(
-        "McTrainer: delta_sample_ratio must be in (0, 1]");
-  }
-  return std::unique_ptr<McTrainer>(new McTrainer(
-      std::move(net), std::move(optimizer), options, seed));
-}
+McProducts::McProducts(const McOptions& options, uint64_t seed,
+                       SplitTimer* timer)
+    : options_(options), timer_(timer), rng_(seed) {}
 
-McTrainer::McTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
-                     const McOptions& options, uint64_t seed)
-    : Trainer(std::move(net)),
-      options_(options),
-      optimizer_(std::move(optimizer)),
-      rng_(seed) {}
-
-size_t McTrainer::DeltaSamples(size_t n) const {
+size_t McProducts::NodeSamples(size_t n) const {
   const auto by_ratio = static_cast<size_t>(std::llround(
       options_.delta_sample_ratio * static_cast<double>(n)));
   return std::min(n, std::max({size_t{1}, options_.delta_min_samples,
                                by_ratio}));
 }
 
-StatusOr<double> McTrainer::Step(const Matrix& x,
-                                 std::span<const int32_t> y) {
-  const size_t num_layers = net_.num_layers();
-
-  // --- Feedforward (exact by default; sampled only in the ablation) ---
-  {
-    PhaseScope scope(&timer_, kPhaseForward);
-    if (!options_.approx_forward) {
-      net_.Forward(x, &ws_);
-    } else {
-      ws_.z.resize(num_layers);
-      ws_.a.resize(num_layers);
-      const Matrix* prev = &x;
-      for (size_t k = 0; k < num_layers; ++k) {
-        const Layer& layer = net_.layer(k);
-        const size_t inner = layer.in_dim();
-        const size_t samples = options_.forward_samples > 0
-                                   ? options_.forward_samples
-                                   : DeltaSamples(inner);
-        SAMPNN_RETURN_NOT_OK(AdelmanApproxMatmul(*prev, layer.weights(),
-                                                 samples, rng_, &ws_.z[k]));
-        AddRowVector(&ws_.z[k], layer.bias());
-        layer.Activate(ws_.z[k], &ws_.a[k]);
-        prev = &ws_.a[k];
-      }
-    }
-  }
-
-  double loss = 0.0;
-  {
-    PhaseScope scope(&timer_, kPhaseBackward);
-    SAMPNN_ASSIGN_OR_RETURN(
-        loss, SoftmaxCrossEntropy::LossAndGrad(ws_.a.back(), y, &grad_logits_));
-    if (grads_.size() != num_layers) grads_ = net_.ZeroGrads();
-
-    delta_ = grad_logits_;
-    for (size_t k = num_layers; k-- > 0;) {
-      const Layer& layer = net_.layer(k);
-      LayerGrads& g = grads_[k];
-      const Matrix& a_prev = (k == 0) ? x : ws_.a[k - 1];
-      // grad_W ≈ sampled a_prev^T * delta over the batch dimension. When the
-      // batch is <= k the estimator degrades to the exact product, which is
-      // why MC^S pays the probability-estimation overhead for nothing.
-      {
-        // `sampling` is charged as a sub-phase nested inside backward.
-        PhaseScope span(&timer_, kPhaseSampling);
-        SAMPNN_RETURN_NOT_OK(AdelmanApproxGemmTransA(
-            a_prev, delta_, options_.grad_batch_samples, rng_, &g.weights));
-      }
-      g.bias.resize(layer.out_dim());
-      ColumnSums(delta_, g.bias);
-      const size_t batch_samples =
-          std::min(a_prev.rows(), options_.grad_batch_samples);
-      if (k > 0) {
-        // delta_prev ≈ sampled delta * W^T over this layer's nodes.
-        const size_t delta_samples = DeltaSamples(layer.out_dim());
-        {
-          PhaseScope span(&timer_, kPhaseSampling);
-          SAMPNN_RETURN_NOT_OK(AdelmanApproxGemmTransB(
-              delta_, layer.weights(), delta_samples, rng_, &delta_prev_));
-        }
-        MultiplyActivationGrad(net_.layer(k - 1).activation(), ws_.z[k - 1],
-                               &delta_prev_);
-        std::swap(delta_, delta_prev_);
-        delta_samples_total_ += delta_samples;
-        if (TelemetryEnabled()) {
-          static Histogram& h = MetricsRegistry::Get().GetHistogram(
-              "approx.mc.delta_samples");
-          h.Observe(delta_samples);
-        }
-      }
-      batch_samples_total_ += batch_samples;
-      if (TelemetryEnabled()) {
-        static Histogram& h =
-            MetricsRegistry::Get().GetHistogram("approx.mc.batch_samples");
-        h.Observe(batch_samples);
-      }
-    }
-    if (FaultArmed(FaultKind::kGradNan)) {
-      // Output layer: ReLU would mask a NaN in the hidden layers.
-      grads_.back().weights(0, 0) = std::numeric_limits<float>::quiet_NaN();
-    }
-    if (track_grad_norm_) last_grad_norm2_ = GradSquaredNorm(grads_);
-    optimizer_->Step(&net_, grads_);
-  }
-  return loss;
+Status McProducts::Forward(size_t k, const Matrix& a, const Matrix& w,
+                           Matrix* z) {
+  if (!options_.approx_forward) return DensePolicy::Forward(k, a, w, z);
+  const size_t samples = options_.forward_samples > 0
+                             ? options_.forward_samples
+                             : NodeSamples(w.rows());
+  return AdelmanApproxMatmul(a, w, samples, rng_, z);
 }
 
-void McTrainer::FillTelemetry(EpochTelemetry* record) const {
-  record->mc_batch_samples = batch_samples_total_;
-  record->mc_delta_samples = delta_samples_total_;
+Status McProducts::WeightGrad(size_t /*k*/, const Matrix& a,
+                              const Matrix& delta, Matrix* g) {
+  // grad_W ≈ sampled a_prev^T * delta over the batch dimension. When the
+  // batch is <= k the estimator degrades to the exact product, which is
+  // why MC^S pays the probability-estimation overhead for nothing.
+  {
+    // `sampling` is charged as a sub-phase nested inside backward.
+    PhaseScope span(timer_, kPhaseSampling);
+    SAMPNN_RETURN_NOT_OK(AdelmanApproxGemmTransA(
+        a, delta, options_.grad_batch_samples, rng_, g));
+  }
+  const size_t samples = std::min(a.rows(), options_.grad_batch_samples);
+  batch_samples_total_ += samples;
+  if (TelemetryEnabled()) {
+    static Histogram& h =
+        MetricsRegistry::Get().GetHistogram("approx.mc.batch_samples");
+    h.Observe(samples);
+  }
+  return Status::OK();
 }
 
-Status McTrainer::SaveExtraState(std::ostream& out) const {
+Status McProducts::DeltaBack(size_t /*k*/, const Matrix& delta,
+                             const Matrix& w, Matrix* out) {
+  // delta_prev ≈ sampled delta * W^T over this layer's nodes.
+  const size_t samples = NodeSamples(w.cols());
+  {
+    PhaseScope span(timer_, kPhaseSampling);
+    SAMPNN_RETURN_NOT_OK(
+        AdelmanApproxGemmTransB(delta, w, samples, rng_, out));
+  }
+  delta_samples_total_ += samples;
+  if (TelemetryEnabled()) {
+    static Histogram& h =
+        MetricsRegistry::Get().GetHistogram("approx.mc.delta_samples");
+    h.Observe(samples);
+  }
+  return Status::OK();
+}
+
+void McProducts::SaveState(std::ostream& out) const {
   WriteRngState(out, rng_.GetState());
   WriteU64(out, batch_samples_total_);
   WriteU64(out, delta_samples_total_);
-  return optimizer_->SaveState(out);
 }
 
-Status McTrainer::LoadExtraState(std::istream& in) {
+Status McProducts::LoadState(std::istream& in) {
   SAMPNN_ASSIGN_OR_RETURN(RngState rng_state, ReadRngState(in));
   SAMPNN_ASSIGN_OR_RETURN(uint64_t batch_total, ReadU64(in));
   SAMPNN_ASSIGN_OR_RETURN(uint64_t delta_total, ReadU64(in));
-  SAMPNN_RETURN_NOT_OK(optimizer_->LoadState(in, net_));
   rng_.SetState(rng_state);
   batch_samples_total_ = batch_total;
   delta_samples_total_ = delta_total;
   return Status::OK();
+}
+
+McTrainer::McTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
+                     const McOptions& options, uint64_t seed)
+    : DenseTrainer("mc", std::move(net), std::move(optimizer)),
+      products_(options, seed, &timer_) {}
+
+void McTrainer::FillTelemetry(EpochTelemetry* record) const {
+  record->mc_batch_samples = products_.batch_samples_total();
+  record->mc_delta_samples = products_.delta_samples_total();
+}
+
+Status McTrainer::SaveExtraState(std::ostream& out) const {
+  products_.SaveState(out);
+  return DenseTrainer::SaveExtraState(out);
+}
+
+Status McTrainer::LoadExtraState(std::istream& in) {
+  SAMPNN_RETURN_NOT_OK(products_.LoadState(in));
+  return DenseTrainer::LoadExtraState(in);
 }
 
 }  // namespace sampnn

@@ -11,54 +11,73 @@
 //
 // approx_forward additionally approximates the feedforward products — the
 // configuration the paper reports as failing; kept as an ablation.
+//
+// The products are a policy for the shared dense step (DenseTrainer); the
+// conv classifier's MC mode and McBackend's degraded rung run the same
+// policy.
 
 #pragma once
 
-#include "src/core/trainer.h"
+#include <istream>
+#include <ostream>
+
+#include "src/core/dense_trainer.h"
+#include "src/metrics/split_timer.h"
 #include "src/util/rng.h"
 
 namespace sampnn {
 
-/// \brief The MC-approx trainer (MC^M for batch > 1, MC^S for batch = 1).
-class McTrainer : public Trainer {
+/// \brief MC-approx's Adelman-sampled products. Counts the realized sample
+/// totals and feeds the `approx.mc.*` histograms.
+class McProducts : public DensePolicy {
  public:
-  static StatusOr<std::unique_ptr<McTrainer>> Create(
-      Mlp net, std::unique_ptr<Optimizer> optimizer, const McOptions& options,
-      uint64_t seed);
+  /// `timer`, when set, is charged the `sampling` sub-phase of the
+  /// backward products.
+  McProducts(const McOptions& options, uint64_t seed,
+             SplitTimer* timer = nullptr);
 
-  StatusOr<double> Step(const Matrix& x, std::span<const int32_t> y) override;
-  const char* name() const override { return "mc"; }
+  Status Forward(size_t k, const Matrix& a, const Matrix& w,
+                 Matrix* z) override;
+  Status WeightGrad(size_t k, const Matrix& a, const Matrix& delta,
+                    Matrix* g) override;
+  Status DeltaBack(size_t k, const Matrix& delta, const Matrix& w,
+                   Matrix* out) override;
+
+  /// Realized sample counts across all passes (batch-dim and node-dim).
+  uint64_t batch_samples_total() const { return batch_samples_total_; }
+  uint64_t delta_samples_total() const { return delta_samples_total_; }
+
+  /// Checkpoints the estimator RNG and the two totals.
+  void SaveState(std::ostream& out) const;
+  Status LoadState(std::istream& in);
+
+ private:
+  /// Expected sample count for a product over inner dim `n`.
+  size_t NodeSamples(size_t n) const;
+
+  McOptions options_;
+  SplitTimer* timer_;
+  uint64_t batch_samples_total_ = 0;
+  uint64_t delta_samples_total_ = 0;
+  Rng rng_;
+};
+
+/// \brief The MC-approx trainer (MC^M for batch > 1, MC^S for batch = 1).
+class McTrainer : public DenseTrainer {
+ public:
+  McTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
+            const McOptions& options, uint64_t seed);
 
   /// Reports cumulative realized sample counts (batch-dim and node-dim).
   void FillTelemetry(EpochTelemetry* record) const override;
 
-  const McOptions& options() const { return options_; }
-  float learning_rate() const override { return optimizer_->learning_rate(); }
-  void set_learning_rate(float lr) override {
-    optimizer_->set_learning_rate(lr);
-  }
-
  protected:
+  DensePolicy& policy() override { return products_; }
   Status SaveExtraState(std::ostream& out) const override;
   Status LoadExtraState(std::istream& in) override;
 
  private:
-  McTrainer(Mlp net, std::unique_ptr<Optimizer> optimizer,
-            const McOptions& options, uint64_t seed);
-
-  /// Expected sample count for the delta*W^T product at inner dim `n`.
-  size_t DeltaSamples(size_t n) const;
-
-  McOptions options_;
-  std::unique_ptr<Optimizer> optimizer_;
-  // Realized Monte-Carlo sample counts across all Steps (telemetry).
-  uint64_t batch_samples_total_ = 0;
-  uint64_t delta_samples_total_ = 0;
-  Rng rng_;
-  MlpWorkspace ws_;
-  MlpGrads grads_;
-  Matrix grad_logits_;
-  Matrix delta_, delta_prev_;
+  McProducts products_;
 };
 
 }  // namespace sampnn

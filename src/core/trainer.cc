@@ -3,7 +3,6 @@
 #include "src/core/alsh_trainer.h"
 #include "src/core/dropout_trainer.h"
 #include "src/core/mc_trainer.h"
-#include "src/core/standard_trainer.h"
 #include "src/nn/loss.h"
 #include "src/nn/serialize.h"
 
@@ -68,52 +67,60 @@ const char* TrainerKindToString(TrainerKind kind) {
 StatusOr<std::unique_ptr<Trainer>> MakeTrainer(const MlpConfig& net_config,
                                                const TrainerOptions& options) {
   SAMPNN_ASSIGN_OR_RETURN(Mlp net, Mlp::Create(net_config));
+  if (options.kind == TrainerKind::kAlsh) {
+    SAMPNN_ASSIGN_OR_RETURN(
+        auto trainer,
+        AlshTrainer::Create(std::move(net), options.alsh,
+                            options.learning_rate, options.seed ^ 0xA15Au));
+    return std::unique_ptr<Trainer>(std::move(trainer));
+  }
+  SAMPNN_ASSIGN_OR_RETURN(
+      auto optimizer, MakeOptimizer(options.optimizer, options.learning_rate));
+  const char* name = TrainerKindToString(options.kind);
+  const size_t hidden = net.num_hidden_layers();
   switch (options.kind) {
-    case TrainerKind::kStandard: {
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto optimizer, MakeOptimizer(options.optimizer, options.learning_rate));
+    case TrainerKind::kStandard:
       return std::unique_ptr<Trainer>(
-          new StandardTrainer(std::move(net), std::move(optimizer)));
-    }
+          new DenseTrainer(name, std::move(net), std::move(optimizer)));
     case TrainerKind::kDropout: {
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto optimizer, MakeOptimizer(options.optimizer, options.learning_rate));
-      if (options.dropout.keep_prob <= 0.0f ||
-          options.dropout.keep_prob > 1.0f) {
+      const float keep = options.dropout.keep_prob;
+      if (keep <= 0.0f || keep > 1.0f) {
         return Status::InvalidArgument("dropout keep_prob must be in (0, 1]");
       }
-      return std::unique_ptr<Trainer>(
-          new DropoutTrainer(std::move(net), std::move(optimizer),
-                             options.dropout, options.seed ^ 0xD70u));
+      return std::unique_ptr<Trainer>(new MaskedTrainer(
+          name, std::move(net), std::move(optimizer),
+          std::make_unique<DropoutMasks>(hidden, keep,
+                                         options.seed ^ 0xD70u)));
     }
     case TrainerKind::kAdaptiveDropout: {
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto optimizer, MakeOptimizer(options.optimizer, options.learning_rate));
       const auto& ad = options.adaptive_dropout;
       if (ad.target_prob <= 0.0f || ad.target_prob >= 1.0f) {
         return Status::InvalidArgument(
             "adaptive-dropout target_prob must be in (0, 1)");
       }
-      return std::unique_ptr<Trainer>(
-          new AdaptiveDropoutTrainer(std::move(net), std::move(optimizer), ad,
-                                     options.seed ^ 0xADAu));
-    }
-    case TrainerKind::kAlsh: {
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto trainer,
-          AlshTrainer::Create(std::move(net), options.alsh,
-                              options.learning_rate, options.seed ^ 0xA15Au));
-      return std::unique_ptr<Trainer>(std::move(trainer));
+      if (ad.min_prob <= 0.0f || ad.min_prob > 1.0f) {
+        return Status::InvalidArgument(
+            "adaptive-dropout min_prob must be in (0, 1]");
+      }
+      return std::unique_ptr<Trainer>(new MaskedTrainer(
+          name, std::move(net), std::move(optimizer),
+          std::make_unique<AdaptiveDropoutMasks>(hidden, ad,
+                                                 options.seed ^ 0xADAu)));
     }
     case TrainerKind::kMc: {
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto optimizer, MakeOptimizer(options.optimizer, options.learning_rate));
-      SAMPNN_ASSIGN_OR_RETURN(
-          auto trainer,
-          McTrainer::Create(std::move(net), std::move(optimizer), options.mc,
-                            options.seed ^ 0x3CAu));
-      return std::unique_ptr<Trainer>(std::move(trainer));
+      const McOptions& mc = options.mc;
+      if (mc.grad_batch_samples == 0) {
+        return Status::InvalidArgument("mc grad_batch_samples must be >= 1");
+      }
+      if (mc.delta_sample_ratio <= 0.0 || mc.delta_sample_ratio > 1.0) {
+        return Status::InvalidArgument(
+            "mc delta_sample_ratio must be in (0, 1]");
+      }
+      return std::unique_ptr<Trainer>(new McTrainer(
+          std::move(net), std::move(optimizer), mc, options.seed ^ 0x3CAu));
     }
+    case TrainerKind::kAlsh:
+      break;
   }
   return Status::Internal("unreachable trainer kind");
 }

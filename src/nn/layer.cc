@@ -12,16 +12,6 @@ Layer::Layer(size_t in_dim, size_t out_dim, Activation act, Initializer init,
       bias_(out_dim, 0.0f),
       act_(act) {}
 
-void Layer::ForwardLinear(const Matrix& input, Matrix* z) const {
-  SAMPNN_CHECK(z != nullptr);
-  SAMPNN_CHECK_EQ(input.cols(), in_dim());
-  if (z->rows() != input.rows() || z->cols() != out_dim()) {
-    *z = Matrix(input.rows(), out_dim());
-  }
-  Gemm(input, weights_, z);
-  AddRowVector(z, bias_);
-}
-
 void Layer::ForwardLinear(std::span<const float> x, std::span<float> z) const {
   SAMPNN_DCHECK_EQ(x.size(), in_dim());
   SAMPNN_DCHECK_EQ(z.size(), out_dim());

@@ -38,11 +38,8 @@ class Layer {
   std::span<float> bias() { return bias_; }
   std::span<const float> bias() const { return bias_; }
 
-  /// Dense batch forward: z = input * W + b (rows = samples); activation NOT
-  /// applied (callers keep z for Eq. 1's f'(z) term).
-  void ForwardLinear(const Matrix& input, Matrix* z) const;
-
-  /// Dense single-sample forward into `z` (length out_dim).
+  /// Dense single-sample forward into `z` (length out_dim): z = x W + b,
+  /// activation NOT applied. The batch pass is Mlp::Forward's loop.
   void ForwardLinear(std::span<const float> x, std::span<float> z) const;
 
   /// Applies this layer's activation: a = f(z).

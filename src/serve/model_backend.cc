@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/approx/adelman.h"
-#include "src/tensor/kernel_config.h"
-#include "src/tensor/kernels.h"
+#include "src/core/mc_trainer.h"
 #include "src/util/check.h"
-#include "src/util/rng.h"
 #include "src/util/sync.h"
 
 namespace sampnn {
@@ -116,7 +113,8 @@ class AlshBackend : public ModelBackend {
 class McBackend : public ModelBackend {
  public:
   McBackend(Mlp model, const McBackendOptions& options)
-      : model_(std::move(model)), options_(options), rng_(options.seed) {}
+      : model_(std::move(model)), products_(DegradedOptions(options),
+                                            options.seed) {}
 
   const char* name() const override { return "mc"; }
   size_t input_dim() const override { return model_.input_dim(); }
@@ -126,43 +124,34 @@ class McBackend : public ModelBackend {
                  ServeQuality quality, Matrix* logits) override {
     SAMPNN_CHECK(logits != nullptr);
     SAMPNN_RETURN_NOT_OK(CheckBatchShape(batch, input_dim(), "McBackend"));
+    MlpWorkspace ws;
     if (quality == ServeQuality::kFull) {
-      MlpWorkspace ws;
       SAMPNN_RETURN_NOT_OK(model_.ForwardCancellable(batch, ctx, &ws));
-      *logits = ws.a.back();
-      return Status::OK();
+    } else {
+      // Degraded rung: every layer's product estimated from
+      // `degraded_samples` Adelman column-row samples — per-request compute
+      // shrinks roughly by k / in_dim per layer. The estimator RNG is a
+      // single stream, so workers serialize.
+      MutexLock lock(mu_);
+      SAMPNN_RETURN_NOT_OK(model_.Forward(batch, products_, &ws, &ctx));
     }
-    // Degraded rung: every layer's product estimated from
-    // `degraded_samples` Adelman column-row samples — per-request compute
-    // shrinks roughly by k / in_dim per layer. The estimator RNG is a
-    // single stream, so workers serialize.
-    MutexLock lock(mu_);
-    Matrix a_prev = batch;
-    Matrix z;
-    for (size_t k = 0; k < model_.num_layers(); ++k) {
-      if (ctx.ShouldStop()) return ctx.StopStatus();
-      const Layer& layer = model_.layer(k);
-      // Sample count never exceeds the inner dimension.
-      const size_t samples =
-          std::max<size_t>(1, std::min(options_.degraded_samples,
-                                       layer.weights().rows()));
-      SAMPNN_RETURN_NOT_OK(AdelmanApproxMatmul(a_prev, layer.weights(),
-                                               samples, rng_, &z));
-      AddRowVector(&z, layer.bias());
-      Matrix a(z.rows(), z.cols());
-      layer.Activate(z, &a);
-      a_prev = std::move(a);
-    }
-    if (ctx.ShouldStop()) return ctx.StopStatus();
-    *logits = std::move(a_prev);
+    *logits = std::move(ws.a.back());
     return Status::OK();
   }
 
  private:
+  // The MC products with the forward approximated at `degraded_samples`
+  // (at least one) per layer; the backward hooks are never called here.
+  static McOptions DegradedOptions(const McBackendOptions& options) {
+    McOptions mc;
+    mc.approx_forward = true;
+    mc.forward_samples = std::max<size_t>(1, options.degraded_samples);
+    return mc;
+  }
+
   Mutex mu_{"serve.backend", lockrank::kServeBackend};
   const Mlp model_;
-  const McBackendOptions options_;
-  Rng rng_ SAMPNN_GUARDED_BY(mu_);
+  McProducts products_ SAMPNN_GUARDED_BY(mu_);
 };
 
 }  // namespace

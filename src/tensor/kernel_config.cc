@@ -221,8 +221,7 @@ uint64_t GemmParallelMinFlops() {
 }
 
 void SetGemmParallelMinFlops(uint64_t flops) {
-  g_parallel_min_flops.store(flops == 0 ? 1 : flops,
-                             std::memory_order_relaxed);
+  g_parallel_min_flops.store(flops, std::memory_order_relaxed);
 }
 
 bool DeterministicKernels() {

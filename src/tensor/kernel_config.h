@@ -45,7 +45,12 @@ void SetGemmThreads(size_t n);
 /// 2*m*n*k threshold at or above which a GEMM dispatch is partitioned
 /// across the kernel pool. Small products stay serial: the pack + wake cost
 /// exceeds the work well below this size.
+/// Resolved on first call from SAMPNN_GEMM_PARALLEL_MIN_FLOPS, else the
+/// built-in default.
 uint64_t GemmParallelMinFlops();
+/// Overrides the threshold (1 = every dispatch goes to the pool). 0
+/// re-resolves from the environment / default on the next
+/// GemmParallelMinFlops() call.
 void SetGemmParallelMinFlops(uint64_t flops);
 
 /// Per-core data-cache capacities in bytes, detected once per process from

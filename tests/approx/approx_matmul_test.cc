@@ -4,54 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/tensor/kernels.h"
-
 namespace sampnn {
 namespace {
-
-TEST(MatmulSchemeParseTest, RoundTrips) {
-  for (MatmulScheme s : {MatmulScheme::kExact, MatmulScheme::kDrineas,
-                         MatmulScheme::kAdelman}) {
-    auto parsed = MatmulSchemeFromString(MatmulSchemeToString(s));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), s);
-  }
-  EXPECT_TRUE(MatmulSchemeFromString("magic").status().IsInvalidArgument());
-}
-
-TEST(SchemeMatmulTest, ExactMatchesGemm) {
-  Rng rng(1);
-  Matrix a = Matrix::RandomGaussian(4, 6, rng);
-  Matrix b = Matrix::RandomGaussian(6, 3, rng);
-  Matrix exact(4, 3), out;
-  Gemm(a, b, &exact);
-  ASSERT_TRUE(SchemeMatmul(MatmulScheme::kExact, a, b, 0, rng, &out).ok());
-  EXPECT_TRUE(out.AllClose(exact, 1e-5f));
-}
-
-TEST(SchemeMatmulTest, SampledSchemesProduceFiniteEstimates) {
-  Rng rng(2);
-  Matrix a = Matrix::RandomGaussian(5, 40, rng);
-  Matrix b = Matrix::RandomGaussian(40, 5, rng);
-  for (MatmulScheme s : {MatmulScheme::kDrineas, MatmulScheme::kAdelman}) {
-    Matrix out;
-    ASSERT_TRUE(SchemeMatmul(s, a, b, 10, rng, &out).ok());
-    EXPECT_EQ(out.rows(), 5u);
-    EXPECT_EQ(out.cols(), 5u);
-    for (size_t i = 0; i < out.size(); ++i) {
-      EXPECT_TRUE(std::isfinite(out.data()[i]));
-    }
-  }
-}
-
-TEST(SchemeMatmulTest, DimensionMismatchErrors) {
-  Rng rng(3);
-  Matrix a(2, 3), b(4, 2), out;
-  for (MatmulScheme s : {MatmulScheme::kExact, MatmulScheme::kDrineas,
-                         MatmulScheme::kAdelman}) {
-    EXPECT_FALSE(SchemeMatmul(s, a, b, 2, rng, &out).ok());
-  }
-}
 
 TEST(RelativeFrobeniusErrorTest, ZeroForEqual) {
   Matrix a = Matrix::Filled(2, 2, 3.0f);

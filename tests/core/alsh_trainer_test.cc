@@ -1,20 +1,21 @@
 #include "src/core/alsh_trainer.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "src/tensor/kernel_config.h"
 #include "tests/core/test_util.h"
 
 namespace sampnn {
 namespace {
 
+using testing_util::DeterministicKernelsScope;
 using testing_util::EasyDataset;
 using testing_util::EasyNet;
+using testing_util::Fnv1a;
+using testing_util::HexFloat;
 using testing_util::TrainEpochs;
 
 std::unique_ptr<AlshTrainer> MakeAlsh(const MlpConfig& net_config,
@@ -255,36 +256,11 @@ struct GoldenRun {
   uint64_t state_hash = 0;          // FNV-1a of the Trainer::SaveState bytes
 };
 
-std::string HexFloat(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Runs with the deterministic dense kernels: the output layer's VecMat
 // otherwise ends its AVX2 pass with a scalar tail the compiler contracts
 // into an FMA at -O2 and above only, which would tie the constants to the
 // build type. The ALSH kernels under test run the same either way.
-class DeterministicKernelsScope {
- public:
-  DeterministicKernelsScope() : was_(DeterministicKernels()) {
-    SetDeterministicKernels(true);
-  }
-  ~DeterministicKernelsScope() { SetDeterministicKernels(was_); }
-
- private:
-  bool was_;
-};
-
+//
 // 40 batches of 20 (one epoch of 800 samples): eight hash-table rebuilds at
 // the default every-100-samples schedule. SaveState covers the weights,
 // biases, optimizer moments and step counts, bucket contents, transform

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/standard_trainer.h"
 #include "tests/core/test_util.h"
 
 namespace sampnn {
@@ -21,25 +20,6 @@ std::unique_ptr<Trainer> MakeMc(const MlpConfig& net, McOptions mc = {},
   options.mc = mc;
   options.learning_rate = lr;
   return std::move(MakeTrainer(net, options)).value();
-}
-
-TEST(McTrainerTest, CreateValidatesOptions) {
-  Mlp net = std::move(Mlp::Create(EasyNet(EasyDataset(10)))).value();
-  auto opt = std::move(MakeOptimizer("adam", 1e-3f)).value();
-  McOptions bad;
-  bad.grad_batch_samples = 0;
-  EXPECT_TRUE(McTrainer::Create(net.Clone(), std::move(opt), bad, 1)
-                  .status()
-                  .IsInvalidArgument());
-  auto opt2 = std::move(MakeOptimizer("adam", 1e-3f)).value();
-  McOptions bad_ratio;
-  bad_ratio.delta_sample_ratio = 1.5;
-  EXPECT_TRUE(McTrainer::Create(net.Clone(), std::move(opt2), bad_ratio, 1)
-                  .status()
-                  .IsInvalidArgument());
-  McOptions ok;
-  EXPECT_TRUE(
-      McTrainer::Create(net.Clone(), nullptr, ok, 1).status().IsInvalidArgument());
 }
 
 // The strongest MC correctness check: with k >= batch and ratio = 1 every

@@ -1,4 +1,4 @@
-#include "src/core/standard_trainer.h"
+#include "src/core/dense_trainer.h"
 
 #include <cmath>
 

@@ -3,12 +3,17 @@
 
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/trainer.h"
 #include "src/data/batcher.h"
 #include "src/data/synthetic.h"
 #include "src/metrics/accuracy.h"
+#include "src/tensor/kernel_config.h"
 
 namespace sampnn::testing_util {
 
@@ -58,5 +63,39 @@ inline double TrainEpochs(Trainer* trainer, const Dataset& data,
   }
   return EvaluateAccuracy(trainer->net(), data);
 }
+
+/// `v` as a C99 hex float ("%a"): every bit, readable in a constant.
+inline std::string HexFloat(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+/// FNV-1a over raw bytes (golden-trajectory fingerprints).
+inline uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Forces the serial, scalar dense kernels for its lifetime, so golden
+/// constants do not depend on the build type, the ISA or the host's cache
+/// blocking.
+class DeterministicKernelsScope {
+ public:
+  DeterministicKernelsScope() : was_(DeterministicKernels()) {
+    SetDeterministicKernels(true);
+  }
+  ~DeterministicKernelsScope() { SetDeterministicKernels(was_); }
+  DeterministicKernelsScope(const DeterministicKernelsScope&) = delete;
+  DeterministicKernelsScope& operator=(const DeterministicKernelsScope&) =
+      delete;
+
+ private:
+  bool was_;
+};
 
 }  // namespace sampnn::testing_util

@@ -64,6 +64,9 @@ TEST(MakeTrainerTest, RejectsBadAdaptiveTargetProb) {
   options.kind = TrainerKind::kAdaptiveDropout;
   options.adaptive_dropout.target_prob = 1.0f;
   EXPECT_TRUE(MakeTrainer(SmallNet(), options).status().IsInvalidArgument());
+  options.adaptive_dropout.target_prob = 0.05f;
+  options.adaptive_dropout.min_prob = 0.0f;
+  EXPECT_TRUE(MakeTrainer(SmallNet(), options).status().IsInvalidArgument());
 }
 
 TEST(MakeTrainerTest, RejectsBadMcOptions) {
@@ -74,6 +77,8 @@ TEST(MakeTrainerTest, RejectsBadMcOptions) {
   options = TrainerOptions();
   options.kind = TrainerKind::kMc;
   options.mc.delta_sample_ratio = 0.0;
+  EXPECT_TRUE(MakeTrainer(SmallNet(), options).status().IsInvalidArgument());
+  options.mc.delta_sample_ratio = 1.5;
   EXPECT_TRUE(MakeTrainer(SmallNet(), options).status().IsInvalidArgument());
 }
 
@@ -94,16 +99,23 @@ TEST(MakeTrainerTest, RejectsUnknownOptimizer) {
   EXPECT_TRUE(MakeTrainer(SmallNet(), options).status().IsInvalidArgument());
 }
 
+// A wrong-size label span or a wrong-width batch is an InvalidArgument from
+// every method, never an abort.
 TEST(TrainerStepTest, ValidatesBatchShapes) {
-  TrainerOptions options;
-  options.kind = TrainerKind::kAlsh;
-  auto trainer = std::move(MakeTrainer(SmallNet(), options)).value();
-  Matrix x(2, 8);
-  std::vector<int32_t> wrong_labels{0};  // batch mismatch
-  EXPECT_FALSE(trainer->Step(x, wrong_labels).ok());
-  Matrix wrong_dim(1, 5);
-  std::vector<int32_t> labels{0};
-  EXPECT_FALSE(trainer->Step(wrong_dim, labels).ok());
+  for (TrainerKind kind :
+       {TrainerKind::kStandard, TrainerKind::kDropout,
+        TrainerKind::kAdaptiveDropout, TrainerKind::kAlsh, TrainerKind::kMc}) {
+    SCOPED_TRACE(TrainerKindToString(kind));
+    TrainerOptions options;
+    options.kind = kind;
+    auto trainer = std::move(MakeTrainer(SmallNet(), options)).value();
+    Matrix x(2, 8);
+    std::vector<int32_t> wrong_labels{0};  // batch mismatch
+    EXPECT_TRUE(trainer->Step(x, wrong_labels).status().IsInvalidArgument());
+    Matrix wrong_dim(1, 5);
+    std::vector<int32_t> labels{0};
+    EXPECT_TRUE(trainer->Step(wrong_dim, labels).status().IsInvalidArgument());
+  }
 }
 
 }  // namespace

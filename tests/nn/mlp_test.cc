@@ -75,21 +75,6 @@ TEST(MlpForwardTest, ShapesAndWorkspace) {
   EXPECT_EQ(ws.a[0].cols(), 6u);
 }
 
-TEST(MlpForwardTest, SampleMatchesBatchRow) {
-  auto net = std::move(Mlp::Create(SmallConfig())).value();
-  Rng rng(2);
-  Matrix x = Matrix::RandomGaussian(3, 4, rng);
-  MlpWorkspace ws;
-  const Matrix& logits = net.Forward(x, &ws);
-  for (size_t r = 0; r < 3; ++r) {
-    const auto single = net.ForwardSample(x.Row(r));
-    ASSERT_EQ(single.size(), 3u);
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(single[j], logits(r, j), 1e-4f);
-    }
-  }
-}
-
 // Serving relies on a row's logits not depending on the batch it rides in:
 // a one-row request must equal the same row of an offline Predict batch.
 // Batches up to 24 rows read W in place (one row on the 1 x 64 tile), taller
@@ -149,55 +134,83 @@ TEST(MlpForwardTest, ReluZeroesNegativePreactivations) {
   }
 }
 
+// Dropout-style masks fixed in advance, so the masked loss is a smooth
+// function of the weights: zeros and the 1/p scale of kept units.
+class FrozenMasks : public DensePolicy {
+ public:
+  FrozenMasks(size_t num_hidden, size_t batch, size_t width, float keep) {
+    Rng rng(17);
+    for (size_t k = 0; k < num_hidden; ++k) {
+      Matrix mask(batch, width);
+      for (size_t i = 0; i < mask.size(); ++i) {
+        mask.data()[i] = rng.NextBernoulli(keep) ? 1.0f / keep : 0.0f;
+      }
+      masks_.push_back(std::move(mask));
+    }
+  }
+  const Matrix* Mask(size_t k, const Matrix& /*z*/) override {
+    return &masks_[k];
+  }
+
+ private:
+  std::vector<Matrix> masks_;
+};
+
 // The decisive correctness test: analytic backprop vs central differences on
-// the full loss, over every parameter of a small network.
+// the full loss, over every parameter of a small network — once exact, and
+// once under frozen masks (the Dropout family's gradient).
 TEST(MlpBackwardTest, MatchesNumericalGradients) {
   MlpConfig cfg = MlpConfig::Uniform(3, 2, 2, 4);
   cfg.seed = 9;
   cfg.hidden_activation = Activation::kTanh;  // smooth: finite diffs behave
-  auto net = std::move(Mlp::Create(cfg)).value();
   Rng rng(4);
   Matrix x = Matrix::RandomGaussian(4, 3, rng);
   std::vector<int32_t> labels{0, 1, 1, 0};
+  DensePolicy exact;
+  FrozenMasks masked(2, 4, 4, 0.5f);
+  for (DensePolicy* policy : {&exact, static_cast<DensePolicy*>(&masked)}) {
+    SCOPED_TRACE(policy == &exact ? "exact" : "frozen masks");
+    auto net = std::move(Mlp::Create(cfg)).value();
+    MlpWorkspace ws;
+    Matrix grad_logits;
+    ASSERT_TRUE(net.Forward(x, *policy, &ws).ok());
+    ASSERT_TRUE(
+        SoftmaxCrossEntropy::LossAndGrad(ws.a.back(), labels, &grad_logits)
+            .ok());
+    MlpGrads grads;
+    ASSERT_TRUE(net.Backward(x, grad_logits, *policy, &ws, &grads).ok());
 
-  MlpWorkspace ws;
-  Matrix grad_logits;
-  net.Forward(x, &ws);
-  ASSERT_TRUE(
-      SoftmaxCrossEntropy::LossAndGrad(ws.a.back(), labels, &grad_logits).ok());
-  MlpGrads grads;
-  net.Backward(x, ws, grad_logits, &grads);
-
-  auto loss_at = [&](Mlp& candidate) {
-    MlpWorkspace tmp;
-    const Matrix& logits = candidate.Forward(x, &tmp);
-    return SoftmaxCrossEntropy::Loss(logits, labels).value();
-  };
-  const float kEps = 1e-2f;
-  for (size_t k = 0; k < net.num_layers(); ++k) {
-    Matrix& w = net.layer(k).weights();
-    for (size_t i = 0; i < w.rows(); ++i) {
-      for (size_t j = 0; j < w.cols(); ++j) {
-        const float orig = w(i, j);
-        w(i, j) = orig + kEps;
-        const double lp = loss_at(net);
-        w(i, j) = orig - kEps;
-        const double lm = loss_at(net);
-        w(i, j) = orig;
-        EXPECT_NEAR(grads[k].weights(i, j), (lp - lm) / (2.0 * kEps), 5e-3)
-            << "layer " << k << " W(" << i << "," << j << ")";
+    auto loss_at = [&](Mlp& candidate) {
+      MlpWorkspace tmp;
+      EXPECT_TRUE(candidate.Forward(x, *policy, &tmp).ok());
+      return SoftmaxCrossEntropy::Loss(tmp.a.back(), labels).value();
+    };
+    const float kEps = 1e-2f;
+    for (size_t k = 0; k < net.num_layers(); ++k) {
+      Matrix& w = net.layer(k).weights();
+      for (size_t i = 0; i < w.rows(); ++i) {
+        for (size_t j = 0; j < w.cols(); ++j) {
+          const float orig = w(i, j);
+          w(i, j) = orig + kEps;
+          const double lp = loss_at(net);
+          w(i, j) = orig - kEps;
+          const double lm = loss_at(net);
+          w(i, j) = orig;
+          EXPECT_NEAR(grads[k].weights(i, j), (lp - lm) / (2.0 * kEps), 5e-3)
+              << "layer " << k << " W(" << i << "," << j << ")";
+        }
       }
-    }
-    auto bias = net.layer(k).bias();
-    for (size_t j = 0; j < bias.size(); ++j) {
-      const float orig = bias[j];
-      bias[j] = orig + kEps;
-      const double lp = loss_at(net);
-      bias[j] = orig - kEps;
-      const double lm = loss_at(net);
-      bias[j] = orig;
-      EXPECT_NEAR(grads[k].bias[j], (lp - lm) / (2.0 * kEps), 5e-3)
-          << "layer " << k << " b(" << j << ")";
+      auto bias = net.layer(k).bias();
+      for (size_t j = 0; j < bias.size(); ++j) {
+        const float orig = bias[j];
+        bias[j] = orig + kEps;
+        const double lp = loss_at(net);
+        bias[j] = orig - kEps;
+        const double lm = loss_at(net);
+        bias[j] = orig;
+        EXPECT_NEAR(grads[k].bias[j], (lp - lm) / (2.0 * kEps), 5e-3)
+            << "layer " << k << " b(" << j << ")";
+      }
     }
   }
 }

@@ -158,6 +158,16 @@ TEST_F(GemmParallelTest, DispatchCountersTrackThreshold) {
 
 // SAMPNN_DETERMINISTIC_KERNELS must yield bits that do not depend on the
 // thread knob at all (it never consults it).
+// The tear-downs above rely on 0 meaning "back to the default", as it
+// does for SetGemmThreads(0).
+TEST_F(GemmParallelTest, ZeroParallelMinFlopsRestoresTheDefault) {
+  const uint64_t before = GemmParallelMinFlops();
+  SetGemmParallelMinFlops(1);
+  EXPECT_EQ(GemmParallelMinFlops(), 1u);
+  SetGemmParallelMinFlops(0);
+  EXPECT_EQ(GemmParallelMinFlops(), before);
+}
+
 TEST_F(GemmParallelTest, DeterministicModeIgnoresThreadKnob) {
   SetDeterministicKernels(true);
   Rng rng(777);
