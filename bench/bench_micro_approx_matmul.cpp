@@ -3,6 +3,8 @@
 // probability-estimation overhead in isolation (the cost that makes
 // MC-approx^S slower than exact training at batch 1, §9.3).
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "src/approx/adelman.h"
@@ -54,34 +56,71 @@ void BM_AdelmanMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_AdelmanMatmul)->Args({1000, 100})->Args({1000, 10});
 
+// Hidden activations after ReLU: about half the sampled factors are zero.
+Matrix ReluActivations(size_t rows, size_t cols, Rng& rng) {
+  Matrix x = Matrix::RandomGaussian(rows, cols, rng);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = std::max(0.0f, x.data()[i]);
+  }
+  return x;
+}
+
 void BM_AdelmanGradProduct(benchmark::State& state) {
   // The MC-approx weight-gradient product X^T * delta sampled over the
-  // batch dimension (k = 10 of batch 20, the paper's setting).
-  const auto n = static_cast<size_t>(state.range(0));
+  // batch dimension (k = 10 of batch 20, the paper's setting), at the
+  // fan_in x 20 x width shapes of the 784-1000-1000-1000-10 net.
+  const auto fan_in = static_cast<size_t>(state.range(0));
+  const auto width = static_cast<size_t>(state.range(1));
   Rng rng(42);
-  Matrix x = Matrix::RandomGaussian(20, n, rng);
-  Matrix delta = Matrix::RandomGaussian(20, n, rng);
+  Matrix x = ReluActivations(20, fan_in, rng);
+  Matrix delta = Matrix::RandomGaussian(20, width, rng);
   Matrix c;
   for (auto _ : state) {
     AdelmanApproxGemmTransA(x, delta, 10, rng, &c).Abort("transA");
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_AdelmanGradProduct)->Arg(256)->Arg(1000);
+BENCHMARK(BM_AdelmanGradProduct)
+    ->Args({256, 256})
+    ->Args({784, 1000})
+    ->Args({1000, 1000})
+    ->Args({1000, 10})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AdelmanDeltaProduct(benchmark::State& state) {
-  // delta * W^T sampled over the node dimension at the §9.2 ratio p ~ 0.1.
-  const auto n = static_cast<size_t>(state.range(0));
+  // delta * W^T sampled over the node dimension at the §9.2 ratio p ~ 0.1:
+  // rows x n x n, n / 10 samples (20 rows: MC^M; 1 row: MC^S).
+  const auto rows = static_cast<size_t>(state.range(0));
+  const auto n = static_cast<size_t>(state.range(1));
   Rng rng(42);
-  Matrix delta = Matrix::RandomGaussian(20, n, rng);
+  Matrix delta = Matrix::RandomGaussian(rows, n, rng);
   Matrix w = Matrix::RandomGaussian(n, n, rng);
   Matrix c;
   for (auto _ : state) {
     AdelmanApproxGemmTransB(delta, w, n / 10, rng, &c).Abort("transB");
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_AdelmanDeltaProduct)->Arg(256)->Arg(1000);
+BENCHMARK(BM_AdelmanDeltaProduct)
+    ->Args({20, 256})
+    ->Args({20, 1000})
+    ->Args({1, 1000})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_AdelmanDeltaScores(benchmark::State& state) {
+  // The score pass of delta * W^T on its own: the column norms of W (and
+  // of the 20-row delta), which every step reads in full.
+  const auto n = static_cast<size_t>(state.range(0));
+  Rng rng(42);
+  Matrix delta = Matrix::RandomGaussian(20, n, rng);
+  Matrix w = Matrix::RandomGaussian(n, n, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AdelmanScoresTransB(delta, w));
+  }
+}
+BENCHMARK(BM_AdelmanDeltaScores)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 void BM_ProbabilityEstimationOverhead(benchmark::State& state) {
   // Just the score pass (norms of the batch columns and W rows) — the

@@ -10,13 +10,24 @@
 
 namespace sampnn {
 
+namespace {
+
+std::vector<float> ColNorms(const Matrix& m) {
+  std::vector<float> norms(m.cols());
+  ColumnNorms(m, norms);
+  return norms;
+}
+
+}  // namespace
+
 StatusOr<std::vector<double>> AdelmanScores(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("AdelmanScores: inner dimension mismatch");
   }
+  const std::vector<float> a_norms = ColNorms(a);
   std::vector<double> scores(a.cols());
   for (size_t i = 0; i < a.cols(); ++i) {
-    scores[i] = static_cast<double>(a.ColNorm(i)) * b.RowNorm(i);
+    scores[i] = static_cast<double>(a_norms[i]) * b.RowNorm(i);
   }
   return scores;
 }
@@ -40,23 +51,26 @@ StatusOr<std::vector<double>> AdelmanScoresTransB(const Matrix& a,
     return Status::InvalidArgument(
         "AdelmanScoresTransB: inner dimension mismatch");
   }
+  const std::vector<float> a_norms = ColNorms(a);
+  const std::vector<float> b_norms = ColNorms(b);
   std::vector<double> scores(a.cols());
   for (size_t j = 0; j < a.cols(); ++j) {
-    scores[j] = static_cast<double>(a.ColNorm(j)) * b.ColNorm(j);
+    scores[j] = static_cast<double>(a_norms[j]) * b_norms[j];
   }
   return scores;
 }
 
 namespace {
 
-// Shared selection step: water-fill + Bernoulli draw + inverse-probability
-// scales for the selected indices. Non-finite scores (a NaN/Inf norm from a
-// poisoned activation or weight) are clamped to zero first — the estimator
-// degrades toward uniform sampling instead of propagating the poison into
-// the probability water-fill; occurrences are counted for telemetry.
-void SelectAndScale(std::vector<double>* scores, size_t k, Rng& rng,
-                    std::vector<uint32_t>* selected,
-                    std::vector<float>* scales) {
+// Shared sampling step: water-fill + Bernoulli draw + inverse-probability
+// scales for the selected indices, then the sum of their scaled outer
+// products into `out`. Non-finite scores (a NaN/Inf norm from a poisoned
+// activation or weight) are clamped to zero first — the estimator degrades
+// toward uniform sampling instead of propagating the poison into the
+// probability water-fill; occurrences are counted for telemetry.
+void SampleAndSum(std::vector<double>* scores, size_t k, Rng& rng,
+                  const Matrix& a, Pick a_pick, const Matrix& b, Pick b_pick,
+                  Matrix* out) {
   size_t nonfinite = 0;
   for (double& s : *scores) {
     if (!std::isfinite(s)) {
@@ -70,22 +84,24 @@ void SelectAndScale(std::vector<double>* scores, size_t k, Rng& rng,
     c.Add(nonfinite);
   }
   const std::vector<double> probs = WaterFillProbabilities(*scores, k);
-  BernoulliSample(probs, rng, selected);
-  scales->resize(selected->size());
-  for (size_t s = 0; s < selected->size(); ++s) {
-    const uint32_t i = (*selected)[s];
+  std::vector<uint32_t> selected;
+  BernoulliSample(probs, rng, &selected);
+  std::vector<float> scales(selected.size());
+  for (size_t s = 0; s < selected.size(); ++s) {
+    const uint32_t i = selected[s];
     // BernoulliSample only emits indices with p > 0, so the inverse scale
     // is finite; the bound guards the scores/probs size contract.
     SAMPNN_DCHECK_BOUNDS(i, probs.size());
     SAMPNN_DCHECK_GT(probs[i], 0.0);
-    (*scales)[s] = static_cast<float>(1.0 / probs[i]);
+    scales[s] = static_cast<float>(1.0 / probs[i]);
   }
   if (TelemetryEnabled()) {
     // Realized (post-Bernoulli) sample count; expectation is k.
     static Histogram& h =
         MetricsRegistry::Get().GetHistogram("approx.adelman.samples");
-    h.Observe(selected->size());
+    h.Observe(selected.size());
   }
+  SampledOuterProducts(a, a_pick, b, b_pick, selected, scales, out);
 }
 
 }  // namespace
@@ -104,22 +120,8 @@ Status AdelmanApproxMatmul(const Matrix& a, const Matrix& b, size_t k,
     return Status::OK();
   }
   SAMPNN_ASSIGN_OR_RETURN(std::vector<double> scores, AdelmanScores(a, b));
-  std::vector<uint32_t> selected;
-  std::vector<float> scales;
-  SelectAndScale(&scores, k, rng, &selected, &scales);
-  out->SetZero();
-  float* od = out->data();
-  const float* bd = b.data();
-  for (size_t s = 0; s < selected.size(); ++s) {
-    const uint32_t i = selected[s];
-    const float* brow = bd + static_cast<size_t>(i) * p;
-    for (size_t r = 0; r < m; ++r) {
-      const float av = a(r, i) * scales[s];
-      if (av == 0.0f) continue;
-      float* orow = od + r * p;
-      for (size_t j = 0; j < p; ++j) orow[j] += av * brow[j];
-    }
-  }
+  // C[r, j] += (1/p_i) * A[r, i] * B[i, j] over selected i.
+  SampleAndSum(&scores, k, rng, a, Pick::kCol, b, Pick::kRow, out);
   return Status::OK();
 }
 
@@ -139,22 +141,8 @@ Status AdelmanApproxGemmTransA(const Matrix& a, const Matrix& b, size_t k,
   }
   SAMPNN_ASSIGN_OR_RETURN(std::vector<double> scores,
                           AdelmanScoresTransA(a, b));
-  std::vector<uint32_t> selected;
-  std::vector<float> scales;
-  SelectAndScale(&scores, k, rng, &selected, &scales);
-  out->SetZero();
-  float* od = out->data();
-  for (size_t s = 0; s < selected.size(); ++s) {
-    const uint32_t i = selected[s];
-    auto arow = a.Row(i);
-    auto brow = b.Row(i);
-    for (size_t l = 0; l < n; ++l) {
-      const float av = arow[l] * scales[s];
-      if (av == 0.0f) continue;
-      float* orow = od + l * p;
-      for (size_t j = 0; j < p; ++j) orow[j] += av * brow[j];
-    }
-  }
+  // C[l, j] += (1/p_i) * A[i, l] * B[i, j] over selected i.
+  SampleAndSum(&scores, k, rng, a, Pick::kRow, b, Pick::kRow, out);
   return Status::OK();
 }
 
@@ -174,25 +162,8 @@ Status AdelmanApproxGemmTransB(const Matrix& a, const Matrix& b, size_t k,
   }
   SAMPNN_ASSIGN_OR_RETURN(std::vector<double> scores,
                           AdelmanScoresTransB(a, b));
-  std::vector<uint32_t> selected;
-  std::vector<float> scales;
-  SelectAndScale(&scores, k, rng, &selected, &scales);
-  out->SetZero();
-  float* od = out->data();
-  const float* bd = b.data();
   // C[r, l] += (1/p_j) * A[r, j] * B[l, j] over selected j.
-  for (size_t s = 0; s < selected.size(); ++s) {
-    const uint32_t j = selected[s];
-    const float scale = scales[s];
-    const float* acol = a.data() + j;
-    const float* bcol = bd + j;
-    for (size_t r = 0; r < m; ++r) {
-      const float av = acol[r * n] * scale;
-      if (av == 0.0f) continue;
-      float* orow = od + r * p;
-      for (size_t l = 0; l < p; ++l) orow[l] += av * bcol[l * n];
-    }
-  }
+  SampleAndSum(&scores, k, rng, a, Pick::kCol, b, Pick::kCol, out);
   return Status::OK();
 }
 

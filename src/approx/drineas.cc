@@ -3,6 +3,7 @@
 #include "src/approx/sampling.h"
 #include "src/telemetry/metrics_registry.h"
 #include "src/telemetry/telemetry.h"
+#include "src/tensor/kernels.h"
 #include "src/util/check.h"
 
 namespace sampnn {
@@ -14,9 +15,11 @@ StatusOr<std::vector<double>> DrineasProbabilities(const Matrix& a,
         "DrineasProbabilities: inner dimension mismatch: " +
         std::to_string(a.cols()) + " vs " + std::to_string(b.rows()));
   }
+  std::vector<float> a_norms(a.cols());
+  ColumnNorms(a, a_norms);
   std::vector<double> weights(a.cols());
   for (size_t i = 0; i < a.cols(); ++i) {
-    weights[i] = static_cast<double>(a.ColNorm(i)) * b.RowNorm(i);
+    weights[i] = static_cast<double>(a_norms[i]) * b.RowNorm(i);
   }
   return NormalizeWeights(weights);
 }
@@ -43,23 +46,21 @@ Status DrineasApproxMatmul(const Matrix& a, const Matrix& b,
 
   const size_t m = a.rows(), n = b.cols();
   if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
-  out->SetZero();
-  float* od = out->data();
-  const float* bd = b.data();
+  // All c draws first (the product consumes no randomness), then one
+  // scaled column-row term per draw, duplicates included, in draw order.
+  std::vector<uint32_t> drawn;
+  std::vector<float> scales;
+  drawn.reserve(c);
+  scales.reserve(c);
   for (size_t s = 0; s < c; ++s) {
     const uint32_t i = table.Sample(rng);
     SAMPNN_DCHECK_BOUNDS(i, a.cols());
     const double pi = table.Probability(i);
     if (pi <= 0.0) continue;  // unreachable under a valid alias table
-    const float scale = static_cast<float>(1.0 / (static_cast<double>(c) * pi));
-    const float* brow = bd + static_cast<size_t>(i) * n;
-    for (size_t r = 0; r < m; ++r) {
-      const float av = a(r, i) * scale;
-      if (av == 0.0f) continue;
-      float* orow = od + r * n;
-      for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
+    drawn.push_back(i);
+    scales.push_back(static_cast<float>(1.0 / (static_cast<double>(c) * pi)));
   }
+  SampledOuterProducts(a, Pick::kCol, b, Pick::kRow, drawn, scales, out);
   return Status::OK();
 }
 

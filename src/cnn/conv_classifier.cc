@@ -30,6 +30,14 @@ StatusOr<ConvClassifier> ConvClassifier::Create(
       (config.dropout_keep <= 0.0f || config.dropout_keep > 1.0f)) {
     return Status::InvalidArgument("ConvClassifier: dropout_keep in (0, 1]");
   }
+  if (config.mode == ClassifierMode::kMc) {
+    SAMPNN_RETURN_NOT_OK(ValidateMcOptions(config.mc));
+    // The conv experiment keeps the feedforward exact (§8.4).
+    if (config.mc.approx_forward) {
+      return Status::InvalidArgument(
+          "ConvClassifier: mc approx_forward is not supported");
+    }
+  }
   SAMPNN_ASSIGN_OR_RETURN(FeatureExtractor features,
                           FeatureExtractor::Create(config.features));
   MlpConfig clf_cfg = MlpConfig::Uniform(features.feature_dim(),
@@ -43,17 +51,14 @@ StatusOr<ConvClassifier> ConvClassifier::Create(
 namespace {
 
 // The mode's policy. Only the backward products are approximated in MC
-// mode: the conv experiment keeps the feedforward exact.
+// mode: Create rejects approx_forward.
 std::unique_ptr<DensePolicy> MakePolicy(const ConvClassifierConfig& config) {
   const uint64_t seed = config.seed ^ 0xC0371ull;
   switch (config.mode) {
     case ClassifierMode::kExact:
       break;
-    case ClassifierMode::kMc: {
-      McOptions mc = config.mc;
-      mc.approx_forward = false;
-      return std::make_unique<McProducts>(mc, seed);
-    }
+    case ClassifierMode::kMc:
+      return std::make_unique<McProducts>(config.mc, seed);
     case ClassifierMode::kDropout:
       return std::make_unique<DropoutMasks>(/*num_hidden=*/1,
                                             config.dropout_keep, seed);

@@ -11,6 +11,16 @@
 
 namespace sampnn {
 
+Status ValidateMcOptions(const McOptions& options) {
+  if (options.grad_batch_samples == 0) {
+    return Status::InvalidArgument("mc grad_batch_samples must be >= 1");
+  }
+  if (options.delta_sample_ratio <= 0.0 || options.delta_sample_ratio > 1.0) {
+    return Status::InvalidArgument("mc delta_sample_ratio must be in (0, 1]");
+  }
+  return Status::OK();
+}
+
 McProducts::McProducts(const McOptions& options, uint64_t seed,
                        SplitTimer* timer)
     : options_(options), timer_(timer), rng_(seed) {}

@@ -27,6 +27,10 @@
 
 namespace sampnn {
 
+/// InvalidArgument unless grad_batch_samples >= 1 and delta_sample_ratio is
+/// in (0, 1]. Every builder of McProducts from user options calls this.
+Status ValidateMcOptions(const McOptions& options);
+
 /// \brief MC-approx's Adelman-sampled products. Counts the realized sample
 /// totals and feeds the `approx.mc.*` histograms.
 class McProducts : public DensePolicy {

@@ -108,16 +108,10 @@ StatusOr<std::unique_ptr<Trainer>> MakeTrainer(const MlpConfig& net_config,
                                                  options.seed ^ 0xADAu)));
     }
     case TrainerKind::kMc: {
-      const McOptions& mc = options.mc;
-      if (mc.grad_batch_samples == 0) {
-        return Status::InvalidArgument("mc grad_batch_samples must be >= 1");
-      }
-      if (mc.delta_sample_ratio <= 0.0 || mc.delta_sample_ratio > 1.0) {
-        return Status::InvalidArgument(
-            "mc delta_sample_ratio must be in (0, 1]");
-      }
-      return std::unique_ptr<Trainer>(new McTrainer(
-          std::move(net), std::move(optimizer), mc, options.seed ^ 0x3CAu));
+      SAMPNN_RETURN_NOT_OK(ValidateMcOptions(options.mc));
+      return std::unique_ptr<Trainer>(
+          new McTrainer(std::move(net), std::move(optimizer), options.mc,
+                        options.seed ^ 0x3CAu));
     }
     case TrainerKind::kAlsh:
       break;

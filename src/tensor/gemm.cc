@@ -658,6 +658,18 @@ void PackedGemmParallel(size_t m, size_t n, size_t k, float alpha,
 
 namespace sampnn {
 
+void ParallelTasks(size_t n, uint64_t flops,
+                   const std::function<void(size_t)>& fn) {
+  const bool serial =
+      DeterministicKernels() || flops < GemmParallelMinFlops();
+  const size_t workers = serial ? 1 : GemmEffectiveWorkers(GemmThreads());
+  if (workers <= 1 || n <= 1) {
+    for (size_t t = 0; t < n; ++t) fn(t);
+    return;
+  }
+  gemm_internal::PoolFor(workers).ParallelFor(n, fn);
+}
+
 void ParallelRanges(size_t n, const std::function<void(size_t, size_t)>& fn) {
   // Boundaries fall on multiples of this many elements, so every element
   // takes the same vector-body or scalar-tail path as in a one-range sweep.

@@ -1,6 +1,7 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "src/tensor/gemm.h"
@@ -9,6 +10,11 @@
 #include "src/telemetry/metrics_registry.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SAMPNN_KERNELS_X86 1
+#include <immintrin.h>
+#endif
 
 namespace sampnn {
 
@@ -308,6 +314,256 @@ void VecMatCols(std::span<const float> x, std::span<const uint32_t> rows,
     const float* wi = wd + i * n;
     for (size_t t = 0; t < m; ++t) yd[cd[t]] += xv * wi[cd[t]];
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sampled outer-product sums and column norms (MC-approx).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Output columns per task. Each task first gathers its columns of the S
+// sampled v vectors into an S x kOuterCols panel (50 KiB at S = 100), so
+// a column of B (the δ·Wᵀ layout) is read once per call, not once per
+// output row.
+constexpr size_t kOuterCols = 128;
+// Output rows per task; a task's rows share its gathered panel.
+constexpr size_t kOuterRows = 256;
+// Columns per column-norm task.
+constexpr size_t kNormCols = 256;
+
+// One kept term of an output row: sample s and its scaled factor.
+struct OuterTerm {
+  uint32_t s;
+  float f;
+};
+
+// The caller's kept terms (row x's at [x * S, x * S + count[x])) and each
+// task's panel. They grow to the largest call and are reused, so a
+// steady-state product allocates nothing.
+thread_local std::vector<OuterTerm> t_outer_terms;
+thread_local std::vector<uint32_t> t_outer_counts;
+thread_local AlignedBuffer t_outer_panel;
+
+// Row x's terms: f = u_s[x] * scales[s] for every s in ascending order
+// whose f is not zero (a NaN f is kept), written without a branch.
+void KeptTerms(const Matrix& a, Pick pick, std::span<const uint32_t> idx,
+               std::span<const float> scales, OuterTerm* terms,
+               uint32_t* counts) {
+  const size_t n_s = idx.size(), ld = a.cols();
+  const size_t m = pick == Pick::kCol ? a.rows() : ld;
+  // u_s[x] = A[x][idx[s]] (kCol) or A[idx[s]][x] (kRow).
+  const size_t x_stride = pick == Pick::kCol ? ld : 1;
+  const size_t s_stride = pick == Pick::kCol ? 1 : ld;
+  for (size_t x = 0; x < m; ++x) {
+    const float* ax = a.data() + x * x_stride;
+    OuterTerm* tx = terms + x * n_s;
+    uint32_t n = 0;
+    for (size_t s = 0; s < n_s; ++s) {
+      const float f = ax[idx[s] * s_stride] * scales[s];
+      tx[n] = {static_cast<uint32_t>(s), f};
+      n += f != 0.0f;
+    }
+    counts[x] = n;
+  }
+}
+
+// Panel row s = v_s[y0, y0 + w), zero-padded to the next 16 columns so
+// the AVX2 path loads whole vectors; only its stores are masked.
+void GatherPanel(const Matrix& b, Pick pick, std::span<const uint32_t> idx,
+                 size_t y0, size_t w, float* panel) {
+  const size_t n_s = idx.size(), ld = b.cols();
+  const float* bd = b.data();
+  if (pick == Pick::kRow) {
+    for (size_t s = 0; s < n_s; ++s) {
+      std::memcpy(panel + s * kOuterCols, bd + idx[s] * ld + y0,
+                  w * sizeof(float));
+    }
+  } else {
+    // Row by row of B: each row's sampled entries are read together.
+    for (size_t t = 0; t < w; ++t) {
+      const float* row = bd + (y0 + t) * ld;
+      for (size_t s = 0; s < n_s; ++s) panel[s * kOuterCols + t] = row[idx[s]];
+    }
+  }
+  const size_t padded = (w + 15) / 16 * 16;
+  for (size_t s = 0; s < n_s && padded != w; ++s) {
+    std::fill(panel + s * kOuterCols + w, panel + s * kOuterCols + padded,
+              0.0f);
+  }
+}
+
+// Rows [x0, x1) x panel columns [0, w) of C; c points at the block's first
+// column. The reference order: per row, zero, then add the kept terms.
+void OuterBlockPortable(const OuterTerm* terms, const uint32_t* counts,
+                        size_t n_s, const float* panel, size_t x0, size_t x1,
+                        size_t w, float* c, size_t ldc) {
+  for (size_t x = x0; x < x1; ++x) {
+    float* __restrict__ crow = c + x * ldc;
+    std::fill(crow, crow + w, 0.0f);
+    for (size_t j = 0; j < counts[x]; ++j) {
+      const OuterTerm term = terms[x * n_s + j];
+      const float* __restrict__ v = panel + term.s * kOuterCols;
+      for (size_t t = 0; t < w; ++t) crow[t] += term.f * v[t];
+    }
+  }
+}
+
+// acc[j] += row_r[j]^2 for rows r = 0..3 in order, four rows per pass
+// over acc (rows `ld` floats apart). The compiler vectorizes the j loop;
+// each lane is one column's sum, so the order is ColNorm's.
+void AddSquares4(const float* row, size_t ld, size_t w, double* acc) {
+  for (size_t j = 0; j < w; ++j) {
+    double sum = acc[j];
+    for (size_t r = 0; r < 4; ++r) {
+      const float v = row[r * ld + j];
+      sum += static_cast<double>(v) * v;
+    }
+    acc[j] = sum;
+  }
+}
+
+void AddSquares(const float* row, size_t w, double* acc) {
+  for (size_t j = 0; j < w; ++j) acc[j] += static_cast<double>(row[j]) * row[j];
+}
+
+#ifdef SAMPNN_KERNELS_X86
+
+// NV vectors (8 * NV columns) of one output row: the row's kept terms
+// are summed in registers, in order, and the row segment is stored once,
+// masked to the `left` columns that remain. Compiled for AVX2 without
+// FMA, so each term is a rounded product added to the accumulator.
+template <size_t NV>
+__attribute__((target("avx2"))) void OuterChunkAvx2(const OuterTerm* terms,
+                                                    uint32_t n,
+                                                    const float* panel,
+                                                    size_t left, float* c) {
+  __m256 acc[NV];
+  for (size_t i = 0; i < NV; ++i) acc[i] = _mm256_setzero_ps();
+  for (uint32_t j = 0; j < n; ++j) {
+    const __m256 f = _mm256_set1_ps(terms[j].f);
+    const float* v = panel + terms[j].s * kOuterCols;
+    for (size_t i = 0; i < NV; ++i) {
+      const __m256 term = _mm256_mul_ps(f, _mm256_load_ps(v + 8 * i));
+      acc[i] = _mm256_add_ps(acc[i], term);
+    }
+  }
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (size_t i = 0; i < NV && 8 * i < left; ++i) {
+    if (left - 8 * i >= 8) {
+      _mm256_storeu_ps(c + 8 * i, acc[i]);
+    } else {
+      const auto rem = static_cast<int>(left - 8 * i);
+      _mm256_maskstore_ps(
+          c + 8 * i, _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), lane), acc[i]);
+    }
+  }
+}
+
+// Row by row, 64 columns at a time (eight independent sums), then 16.
+__attribute__((target("avx2"))) void OuterBlockAvx2(
+    const OuterTerm* terms, const uint32_t* counts, size_t n_s,
+    const float* panel, size_t x0, size_t x1, size_t w, float* c,
+    size_t ldc) {
+  for (size_t x = x0; x < x1; ++x) {
+    const OuterTerm* tx = terms + x * n_s;
+    float* crow = c + x * ldc;
+    size_t t = 0;
+    for (; t + 64 <= w; t += 64) {
+      OuterChunkAvx2<8>(tx, counts[x], panel + t, 64, crow + t);
+    }
+    for (; t < w; t += 16) {
+      OuterChunkAvx2<2>(tx, counts[x], panel + t, w - t, crow + t);
+    }
+  }
+}
+
+#endif  // SAMPNN_KERNELS_X86
+
+// The AVX2 rows give the portable loop's bits; deterministic mode keeps
+// to the portable loop anyway, like every other kernel.
+bool UseOuterAvx2() {
+#ifdef SAMPNN_KERNELS_X86
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok && !DeterministicKernels();
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+void ColumnNorms(const Matrix& m, std::span<float> out) {
+  SAMPNN_CHECK_EQ(out.size(), m.cols());
+  const size_t rows = m.rows(), cols = m.cols();
+  const size_t tasks = (cols + kNormCols - 1) / kNormCols;
+  // Dispatched as 4 flops per element: each square and add is a double
+  // lane, half a float lane's width.
+  ParallelTasks(tasks, uint64_t{4} * rows * cols, [&](size_t task) {
+    const size_t j0 = task * kNormCols;
+    const size_t w = std::min(kNormCols, cols - j0);
+    double acc[kNormCols] = {};
+    const float* row = m.data() + j0;
+    size_t i = 0;
+    for (; i + 4 <= rows; i += 4, row += 4 * cols) {
+      AddSquares4(row, cols, w, acc);
+    }
+    for (; i < rows; ++i, row += cols) AddSquares(row, w, acc);
+    for (size_t j = 0; j < w; ++j) {
+      out[j0 + j] = static_cast<float>(std::sqrt(acc[j]));
+    }
+  });
+}
+
+void SampledOuterProducts(const Matrix& a, Pick a_pick, const Matrix& b,
+                          Pick b_pick, std::span<const uint32_t> idx,
+                          std::span<const float> scales, Matrix* c) {
+  SAMPNN_CHECK(c != nullptr);
+  SAMPNN_CHECK_EQ(idx.size(), scales.size());
+  const size_t m = a_pick == Pick::kCol ? a.rows() : a.cols();
+  const size_t n = b_pick == Pick::kRow ? b.cols() : b.rows();
+  SAMPNN_CHECK_EQ(c->rows(), m);
+  SAMPNN_CHECK_EQ(c->cols(), n);
+  for (const uint32_t i : idx) {
+    SAMPNN_DCHECK_BOUNDS(i, a_pick == Pick::kCol ? a.cols() : a.rows());
+    SAMPNN_DCHECK_BOUNDS(i, b_pick == Pick::kRow ? b.rows() : b.cols());
+  }
+  const size_t n_s = idx.size();
+  const uint64_t flops = uint64_t{2} * n_s * m * n;
+  CountSparseFlops(flops);
+  if (m == 0 || n == 0) return;
+  if (n_s == 0) {
+    c->SetZero();
+    return;
+  }
+  if (t_outer_terms.size() < m * n_s) t_outer_terms.resize(m * n_s);
+  if (t_outer_counts.size() < m) t_outer_counts.resize(m);
+  OuterTerm* const terms = t_outer_terms.data();
+  uint32_t* const counts = t_outer_counts.data();
+  KeptTerms(a, a_pick, idx, scales, terms, counts);
+  [[maybe_unused]] const bool avx2 = UseOuterAvx2();
+  const size_t col_blocks = (n + kOuterCols - 1) / kOuterCols;
+  const size_t row_blocks = (m + kOuterRows - 1) / kOuterRows;
+  float* const cd = c->data();
+  // Each task owns a block of C, so every element has one writer that adds
+  // its row's kept terms in order; neither the split nor the worker count
+  // matters.
+  ParallelTasks(row_blocks * col_blocks, flops, [&](size_t task) {
+    const size_t x0 = task / col_blocks * kOuterRows;
+    const size_t x1 = std::min(m, x0 + kOuterRows);
+    const size_t y0 = task % col_blocks * kOuterCols;
+    const size_t w = std::min(kOuterCols, n - y0);
+    t_outer_panel.GrowTo(n_s * kOuterCols);
+    float* const panel = t_outer_panel.data();
+    GatherPanel(b, b_pick, idx, y0, w, panel);
+#ifdef SAMPNN_KERNELS_X86
+    if (avx2) {
+      OuterBlockAvx2(terms, counts, n_s, panel, x0, x1, w, cd + y0, n);
+      return;
+    }
+#endif
+    OuterBlockPortable(terms, counts, n_s, panel, x0, x1, w, cd + y0, n);
+  });
 }
 
 }  // namespace sampnn

@@ -5,7 +5,8 @@
 // sampling-based methods substitute for them:
 //   - full gemm family (standard training, minibatch),
 //   - column-subset products (ALSH-approx: "sampling from current layer"),
-//   - row-subset products (MC-approx: "sampling from previous layer").
+//   - sampled outer-product sums and column norms (MC-approx's Adelman
+//     and Drineas estimators, src/approx/).
 //
 // The gemm family runs on a packed, register-blocked microkernel
 // (src/tensor/gemm.h): AVX2+FMA when the CPU supports it, split into a
@@ -68,8 +69,22 @@ void Scale(Matrix* m, float alpha);
 /// Sums each column of `m` into `out` (size cols). Used for bias gradients.
 void ColumnSums(const Matrix& m, std::span<float> out);
 
+/// out[j] = L2 norm of column j, bitwise equal to Matrix::ColNorm(j): one
+/// double accumulator per column adds the rows' squares in row order (a
+/// float square is exact in double), in one row-major pass whose columns
+/// are split across the kernel pool like a sampled product's.
+void ColumnNorms(const Matrix& m, std::span<float> out);
+
 /// Smallest range ParallelRanges hands to a worker.
 inline constexpr size_t kParallelRangeGrain = 64 * 1024;
+
+/// Runs fn(t) for every t in [0, n) on the GEMM's kernel pool
+/// (GemmEffectiveWorkers(GemmThreads()) workers) when `flops` reaches
+/// GemmParallelMinFlops(); otherwise, and under DeterministicKernels(),
+/// inline in ascending order. For tasks that write disjoint outputs, whose
+/// results then do not depend on the worker count.
+void ParallelTasks(size_t n, uint64_t flops,
+                   const std::function<void(size_t)>& fn);
 
 /// Runs fn(begin, end) over contiguous ranges that cover [0, n), on the
 /// GEMM's kernel pool: at most GemmEffectiveWorkers(GemmThreads()) ranges,
@@ -96,5 +111,22 @@ void ParallelRanges(size_t n, const std::function<void(size_t, size_t)>& fn);
 void VecMatCols(std::span<const float> x, std::span<const uint32_t> rows,
                 const Matrix& w, std::span<const float> bias,
                 std::span<const uint32_t> cols, std::span<float> y);
+
+/// Which vector of a matrix a sampled product takes for index i.
+enum class Pick { kRow, kCol };
+
+/// Sampled outer-product sum, the product behind MC-approx's estimators:
+///   C = sum over s = 0, 1, ... of (scales[s] * u_s) ⊗ v_s,
+/// where u_s is row or column idx[s] of A (`a_pick`) and v_s row or column
+/// idx[s] of B (`b_pick`); C must be |u_s| x |v_s|. Every element of C
+/// starts at +0 and takes its terms in ascending s, each
+/// fl(fl(u * scale) * v) added with a separate multiply and add (never an
+/// FMA); a zero factor u * scale adds nothing, not even the NaN of 0 * Inf.
+/// So C equals a loop that zeroes C and adds one scaled rank-1 term per
+/// sample, bit for bit, on every path and worker count. C's old contents
+/// are never read. Charged 2 * S * |C| to tensor.sparse.flops.
+void SampledOuterProducts(const Matrix& a, Pick a_pick, const Matrix& b,
+                          Pick b_pick, std::span<const uint32_t> idx,
+                          std::span<const float> scales, Matrix* c);
 
 }  // namespace sampnn

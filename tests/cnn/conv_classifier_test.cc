@@ -73,6 +73,28 @@ TEST(ConvClassifierTest, CreateValidates) {
   EXPECT_TRUE(ConvClassifier::Create(cfg).status().IsInvalidArgument());
 }
 
+// MC mode validates its options up front, as MakeTrainer does, instead of
+// failing on the first Step or ignoring them.
+TEST(ConvClassifierTest, RejectsBadMcOptions) {
+  ConvClassifierConfig cfg = SmallConfig(ClassifierMode::kMc);
+  cfg.mc.grad_batch_samples = 0;
+  EXPECT_TRUE(ConvClassifier::Create(cfg).status().IsInvalidArgument());
+  for (const double ratio : {0.0, -0.5, 5.0}) {
+    cfg = SmallConfig(ClassifierMode::kMc);
+    cfg.mc.delta_sample_ratio = ratio;
+    EXPECT_TRUE(ConvClassifier::Create(cfg).status().IsInvalidArgument())
+        << ratio;
+  }
+  cfg = SmallConfig(ClassifierMode::kMc);
+  cfg.mc.approx_forward = true;
+  EXPECT_TRUE(ConvClassifier::Create(cfg).status().IsInvalidArgument());
+  EXPECT_TRUE(ConvClassifier::Create(SmallConfig(ClassifierMode::kMc)).ok());
+  // Other modes do not use the MC options.
+  cfg = SmallConfig(ClassifierMode::kExact);
+  cfg.mc.grad_batch_samples = 0;
+  EXPECT_TRUE(ConvClassifier::Create(cfg).ok());
+}
+
 TEST(ConvClassifierTest, StepValidatesBatch) {
   auto model = std::move(ConvClassifier::Create(
                              SmallConfig(ClassifierMode::kExact)))
